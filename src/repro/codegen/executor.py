@@ -9,6 +9,11 @@ tiles the DMA engine actually moved) and the *timing* result (a
 costs, structural GEMM cycle counts, and discrete-event overlap of the
 DMA engine with compute under double buffering).
 
+Timing never depends on the data, so :meth:`~CompiledKernel.time_only`
+produces the same report without moving any: it walks the same loops
+and keeps every check of :meth:`~CompiledKernel.run`, but binds tensors
+to addresses only and skips the tile copies and the arithmetic.
+
 Timing model: one compute timeline (``now``) plus one DMA-engine
 timeline (``dma_free``) per core group.  Synchronous transfers advance
 both; a ``pipelined`` loop issues iteration ``i+1``'s transfers when
@@ -21,7 +26,7 @@ approximate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -45,7 +50,7 @@ from ..ir.nodes import (
 from ..machine.config import MachineConfig, default_config
 from ..machine.dma import MEM_TO_SPM
 from ..machine.memory import MainMemory
-from ..machine.sanitizer import MachineSanitizer, resolve_sanitize
+from ..machine.sanitizer import MachineSanitizer, fail, resolve_sanitize
 from ..machine.spm import partition_extent
 from ..machine.trace import SimReport, Trace
 from ..optimizer.dma_inference import flatten_access, storage_shapes
@@ -117,16 +122,9 @@ class CompiledKernel:
         from ..faults import maybe_corrupt_outputs
 
         state = _ExecState(self, feeds)
-        state.execute(self.kernel.body, {})
+        report = state.simulate()
         outputs = state.collect_outputs()
         maybe_corrupt_outputs(self.compute, outputs)
-        report = SimReport.from_trace(
-            state.trace,
-            makespan=state.now,
-            num_cgs_used=1,
-            config=self.config,
-            detail=self.kernel.name,
-        )
         return RunResult(
             outputs=outputs,
             report=report,
@@ -134,7 +132,35 @@ class CompiledKernel:
         )
 
     def time_only(self, feeds: Dict[str, np.ndarray]) -> SimReport:
-        return self.run(feeds).report
+        """The report of :meth:`run`, computed without the data.
+
+        Feeds are checked for presence and shape but never copied, and
+        no SPM tile, DMA copy, matmul or output exists; every access
+        bounds check and GEMM shape check of :meth:`run` still runs and
+        raises the same :class:`~repro.errors.CodegenError`.
+
+        With sanitizing on this runs the functional, sanitized path --
+        the sanitizer's shadow state needs the real execution -- and
+        then also the data-free one, failing with a ``timing-mismatch``
+        :class:`~repro.errors.SanitizerError` unless both reports are
+        equal.
+        """
+        if not self.sanitize:
+            return _TimingState(self, feeds).simulate()
+        report = self.run(feeds).report
+        fast = _TimingState(self, feeds).simulate()
+        if fast != report:
+            diffs = [
+                f"{f.name} {getattr(fast, f.name)!r} vs {getattr(report, f.name)!r}"
+                for f in fields(SimReport)
+                if getattr(fast, f.name) != getattr(report, f.name)
+            ]
+            fail(
+                "timing-mismatch",
+                f"data-free timing of kernel {self.kernel.name!r} differs "
+                f"from its functional run: {', '.join(diffs)}",
+            )
+        return report
 
 
 class _ExecState:
@@ -147,10 +173,21 @@ class _ExecState:
         self.dma_free = 0.0
         self.trace = Trace()
         self.memory = MainMemory(config=self.cfg)
-        self._storage: Dict[str, np.ndarray] = {}
         self._buffers = {}
-        self._spm: Dict[str, List[np.ndarray]] = {}
         self._read_phase: Dict[str, int] = {}
+        # per-run memos of what depends on the node alone: (DMA node id,
+        # start address modulo the DRAM transaction) -> DMA cost,
+        # GEMM/zero node id -> cycles
+        self._dma_memo: Dict[Tuple[int, int], Tuple[float, int, int]] = {}
+        self._node_cycles: Dict[int, float] = {}
+        self.san: Optional[MachineSanitizer] = None
+        self._bind(feeds)
+
+    # --- setup -------------------------------------------------------------
+    def _bind(self, feeds: Dict[str, np.ndarray]) -> None:
+        ck = self.ck
+        self._storage: Dict[str, np.ndarray] = {}
+        self._spm: Dict[str, List[np.ndarray]] = {}
         from ..ir.visitors import find_all
 
         self._dma_in_targets = {
@@ -161,13 +198,10 @@ class _ExecState:
         # the sanitizer is a single optional object; every hook below is
         # guarded by ``if self.san is not None`` so the disabled path
         # pays nothing beyond one identity check
-        self.san: Optional[MachineSanitizer] = (
-            MachineSanitizer(
+        if ck.sanitize:
+            self.san = MachineSanitizer(
                 ck.kernel, self.cfg, ck.spm_plan, ck.storage_shapes
             )
-            if ck.sanitize
-            else None
-        )
         self._bind_tensors(feeds)
         self._bind_spm()
         if self.san is not None:
@@ -175,28 +209,32 @@ class _ExecState:
             for name, buf in self._buffers.items():
                 self.san.bind_window(name, buf.addr, buf.nbytes)
 
-    # --- setup -------------------------------------------------------------
+    def _feed(self, feeds: Dict[str, np.ndarray], name: str) -> np.ndarray:
+        """The feed of input tensor ``name``, checked against its
+        logical shape."""
+        if name not in feeds:
+            raise CodegenError(f"missing feed for tensor {name!r}")
+        data = np.asarray(feeds[name], dtype=np.float32)
+        logical_shape = self.ck.compute.tensor_shape(name)
+        if tuple(data.shape) != logical_shape:
+            raise CodegenError(
+                f"feed {name!r} has shape {data.shape}, "
+                f"expected {logical_shape}"
+            )
+        return data
+
     def _bind_tensors(self, feeds: Dict[str, np.ndarray]) -> None:
         compute = self.ck.compute
         for name, spec in compute.tensors.items():
-            logical_shape = compute.tensor_shape(name)
-            perm = self.ck.kernel.tensor_layouts.get(
-                name, tuple(range(len(logical_shape)))
-            )
-            storage_shape = self.ck.storage_shapes[name]
-            buf = self.memory.alloc(name, storage_shape)
+            buf = self.memory.alloc(name, self.ck.storage_shapes[name])
             view = self.memory.view(buf)
             if spec.role == ROLE_OUTPUT:
                 view[...] = 0.0
             else:
-                if name not in feeds:
-                    raise CodegenError(f"missing feed for tensor {name!r}")
-                data = np.asarray(feeds[name], dtype=np.float32)
-                if tuple(data.shape) != logical_shape:
-                    raise CodegenError(
-                        f"feed {name!r} has shape {data.shape}, "
-                        f"expected {logical_shape}"
-                    )
+                data = self._feed(feeds, name)
+                perm = self.ck.kernel.tensor_layouts.get(
+                    name, tuple(range(data.ndim))
+                )
                 view[...] = data.transpose(perm)
             self._buffers[name] = buf
             self._storage[name] = view
@@ -222,6 +260,17 @@ class _ExecState:
                 inv = np.argsort(perm)
                 out[name] = np.ascontiguousarray(arr.transpose(inv))
         return out
+
+    def simulate(self) -> SimReport:
+        """Execute the kernel body; the report of the run."""
+        self.execute(self.ck.kernel.body, {})
+        return SimReport.from_trace(
+            self.trace,
+            makespan=self.now,
+            num_cgs_used=1,
+            config=self.cfg,
+            detail=self.ck.kernel.name,
+        )
 
     # --- dispatch -------------------------------------------------------------
     def execute(
@@ -326,9 +375,11 @@ class _ExecState:
             bytes_moved=payload, waste_bytes=paid - payload,
         )
 
-    def _access_slices(
+    def _access_offsets(
         self, access: TileAccess, env: Dict[str, int]
-    ) -> Tuple[Tuple[slice, ...], Tuple[int, ...]]:
+    ) -> List[int]:
+        """Evaluated offsets of ``access``, bounds-checked against its
+        tensor's storage shape."""
         offs = []
         shape = self.ck.storage_shapes[access.buffer]
         for d, (off_expr, length) in enumerate(access.dims):
@@ -339,6 +390,12 @@ class _ExecState:
                     f"(extent {shape[d]}) of {access.buffer!r}"
                 )
             offs.append(off)
+        return offs
+
+    def _access_slices(
+        self, access: TileAccess, env: Dict[str, int]
+    ) -> Tuple[Tuple[slice, ...], Tuple[int, ...]]:
+        offs = self._access_offsets(access, env)
         slices = tuple(
             slice(off, off + length)
             for off, (_, length) in zip(offs, access.dims)
@@ -370,22 +427,38 @@ class _ExecState:
     def _dma_cost(
         self, node: DmaCgNode, env: Dict[str, int]
     ) -> Tuple[float, int, int]:
-        """Transaction-accurate cycles of one CG-level transfer."""
-        cfg = self.cfg
+        """Transaction-accurate cycles of one CG-level transfer.
+
+        Memoized per (node, start address modulo the DRAM transaction):
+        shifting a transfer by whole transactions shifts every paid
+        transaction with it, so their number -- and the cost -- stays.
+        """
         access = node.access
         shape = self.ck.storage_shapes[access.buffer]
-        flat = flatten_access(access.lengths, shape)
-        buf = self._buffers[access.buffer]
         base_elem = 0
         strides = [1] * len(shape)
         for i in range(len(shape) - 2, -1, -1):
             strides[i] = strides[i + 1] * shape[i + 1]
         for (off_expr, _), stride in zip(access.dims, strides):
             base_elem += off_expr.evaluate(env) * stride
+        cfg = self.cfg
+        base = self._buffers[access.buffer].addr + base_elem * cfg.dtype_bytes
+        key = (id(node), base % cfg.dram_transaction_bytes)
+        cost = self._dma_memo.get(key)
+        if cost is None:
+            cost = self._dma_memo[key] = self._transfer_cost(node, base)
+        return cost
 
+    def _transfer_cost(
+        self, node: DmaCgNode, base: int
+    ) -> Tuple[float, int, int]:
+        """(cycles, payload bytes, paid bytes) of ``node``'s transfer
+        starting at byte address ``base``."""
+        cfg = self.cfg
+        access = node.access
+        flat = flatten_access(access.lengths, self.ck.storage_shapes[access.buffer])
         eb = cfg.dtype_bytes
-        row_addrs = buf.addr + (base_elem + flat.chunk_offsets()) * eb
-        chunk_bytes = flat.chunk_elems * eb
+        row_addrs = base + flat.chunk_offsets() * eb
         payload = int(flat.elems) * eb
 
         # per-CPE split: rows over the 8 cluster rows, the chunk over
@@ -413,30 +486,68 @@ class _ExecState:
         return cycles, payload, paid
 
     # --- compute ---------------------------------------------------------------
-    def _matrix_view(
-        self, name: str, lens: Sequence[int], mat_map, writable: bool
-    ):
-        tile = self._spm[name][self._read_phase[name]]
-        if len(lens) != tile.ndim:
+    def _view_dims(
+        self, name: str, lens: Sequence[int], mat_map
+    ) -> Tuple[int, int]:
+        """Matrix dims of a GEMM operand view, checked against the SPM
+        allocation it views."""
+        shape = self.ck.kernel.alloc(name).shape
+        if len(lens) != len(shape):
             raise CodegenError(
                 f"gemm views {name!r} with rank {len(lens)} but buffer "
-                f"has rank {tile.ndim}"
+                f"has rank {len(shape)}"
             )
-        for length, cap in zip(lens, tile.shape):
+        for length, cap in zip(lens, shape):
             if length > cap:
                 raise CodegenError(
                     f"gemm view of {name!r} exceeds its SPM allocation "
-                    f"({tuple(lens)} > {tile.shape})"
+                    f"({tuple(lens)} > {shape})"
                 )
+        rows, cols = mat_map
+        return (
+            math.prod(lens[i] for i in rows),
+            math.prod(lens[i] for i in cols),
+        )
+
+    def _gemm_cycles(self, node: GemmOpNode) -> float:
+        """Cycles of one GEMM call after its shape checks; both depend
+        on the node alone, so they run once per node per run."""
+        cycles = self._node_cycles.get(id(node))
+        if cycles is not None:
+            return cycles
+        ar, ac = self._view_dims(node.a_spm, node.a_lens, node.a_map)
+        br, bc = self._view_dims(node.b_spm, node.b_lens, node.b_map)
+        if (ar, ac) != (node.m, node.k) or (br, bc) != (node.k, node.n):
+            raise CodegenError(
+                f"gemm dims mismatch: A{ar, ac} B{br, bc} vs "
+                f"(M={node.m}, K={node.k}, N={node.n})"
+            )
+        cr, cc = self._view_dims(node.c_spm, node.c_lens, node.c_map)
+        if (cr, cc) != (node.m, node.n):
+            raise CodegenError(f"gemm C dims mismatch: {(cr, cc)} vs {(node.m, node.n)}")
+        cost = kernel_cycles(node.m, node.n, node.k, node.variant, self.cfg)
+        self._node_cycles[id(node)] = cost.total
+        return cost.total
+
+    def _matrix_view(self, name: str, lens: Sequence[int], mat_map):
+        """The operand tile of ``name`` in (rows..., cols...) order."""
+        tile = self._spm[name][self._read_phase[name]]
         region = tile[tuple(slice(0, l) for l in lens)]
         rows, cols = mat_map
-        perm = tuple(rows) + tuple(cols)
-        r = math.prod(lens[i] for i in rows)
-        c = math.prod(lens[i] for i in cols)
-        t = region.transpose(perm)
-        if writable:
-            return t, (r, c)  # caller adds a reshaped RHS onto the view
-        return np.ascontiguousarray(t).reshape(r, c), (r, c)
+        return region.transpose(tuple(rows) + tuple(cols))
+
+    def _gemm_data(self, node: GemmOpNode) -> None:
+        a = self._matrix_view(node.a_spm, node.a_lens, node.a_map)
+        b = self._matrix_view(node.b_spm, node.b_lens, node.b_map)
+        result = np.ascontiguousarray(a).reshape(node.m, node.k) @ (
+            np.ascontiguousarray(b).reshape(node.k, node.n)
+        )
+        # a view into the C tile: writing through it updates the tile
+        c_t = self._matrix_view(node.c_spm, node.c_lens, node.c_map)
+        if node.accumulate:
+            c_t += result.reshape(c_t.shape)
+        else:
+            c_t[...] = result.reshape(c_t.shape)
 
     def _exec_gemm(self, node: GemmOpNode) -> None:
         if self.san is not None:
@@ -446,29 +557,15 @@ class _ExecState:
                 b_phase=self._read_phase[node.b_spm],
                 c_phase=self._read_phase[node.c_spm],
             )
-        a, (ar, ac) = self._matrix_view(node.a_spm, node.a_lens, node.a_map, False)
-        b, (br, bc) = self._matrix_view(node.b_spm, node.b_lens, node.b_map, False)
-        if (ar, ac) != (node.m, node.k) or (br, bc) != (node.k, node.n):
-            raise CodegenError(
-                f"gemm dims mismatch: A{ar, ac} B{br, bc} vs "
-                f"(M={node.m}, K={node.k}, N={node.n})"
-            )
-        result = a @ b
-        c_t, (cr, cc) = self._matrix_view(node.c_spm, node.c_lens, node.c_map, True)
-        if (cr, cc) != (node.m, node.n):
-            raise CodegenError(f"gemm C dims mismatch: {(cr, cc)} vs {(node.m, node.n)}")
-        if node.accumulate:
-            c_t += result.reshape(c_t.shape)
-        else:
-            c_t[...] = result.reshape(c_t.shape)
-        cost = kernel_cycles(node.m, node.n, node.k, node.variant, self.cfg)
+        cycles = self._gemm_cycles(node)
+        self._gemm_data(node)
         self.trace.add(
-            "gemm", self.now, self.now + cost.total,
+            "gemm", self.now, self.now + cycles,
             detail=node.variant.name, flops=node.flops,
         )
-        self.now += cost.total
+        self.now += cycles
 
-    def _exec_zero(self, node: ZeroSpmNode) -> None:
+    def _zero_data(self, node: ZeroSpmNode) -> None:
         # Buffers filled by mem->SPM DMA are zeroed at transfer time
         # (see _dma_move_in), so their ZeroSpm is a timing-only pad
         # charge: functionally clearing them here would race the
@@ -480,8 +577,47 @@ class _ExecState:
         if functional:
             for arr in self._spm[node.spm]:
                 arr[...] = 0.0
-        alloc = self.ck.kernel.alloc(node.spm)
-        per_cpe_elems = math.ceil(alloc.elems / self.cfg.cpes_per_cg)
-        cycles = math.ceil(per_cpe_elems / self.cfg.vector_lanes) + 10
+
+    def _exec_zero(self, node: ZeroSpmNode) -> None:
+        self._zero_data(node)
+        cycles = self._node_cycles.get(id(node))
+        if cycles is None:
+            alloc = self.ck.kernel.alloc(node.spm)
+            per_cpe_elems = math.ceil(alloc.elems / self.cfg.cpes_per_cg)
+            cycles = math.ceil(per_cpe_elems / self.cfg.vector_lanes) + 10
+            self._node_cycles[id(node)] = cycles
         self.trace.add("gemm", self.now, self.now + cycles, detail=f"zero:{node.spm}")
         self.now += cycles
+
+
+class _TimingState(_ExecState):
+    """The data-free interpreter behind :meth:`CompiledKernel.time_only`.
+
+    Tensors get their main-memory addresses (DMA costs depend on them)
+    but no contents; there are no SPM tiles, so DMA transfers only run
+    their bounds check and GEMM/zero nodes only their shape checks and
+    cycle counts.  Never sanitized: the sanitizer's shadow state tracks
+    the functional data movement this class skips.
+    """
+
+    def _bind(self, feeds: Dict[str, np.ndarray]) -> None:
+        for name, spec in self.ck.compute.tensors.items():
+            self._buffers[name] = self.memory.alloc(
+                name, self.ck.storage_shapes[name]
+            )
+            if spec.role != ROLE_OUTPUT:
+                self._feed(feeds, name)
+
+    def _dma_move_in(
+        self, node: DmaCgNode, env: Dict[str, int], phase: int
+    ) -> None:
+        self._access_offsets(node.access, env)
+
+    def _dma_move_out(self, node: DmaCgNode, env: Dict[str, int]) -> None:
+        self._access_offsets(node.access, env)
+
+    def _gemm_data(self, node: GemmOpNode) -> None:
+        pass
+
+    def _zero_data(self, node: ZeroSpmNode) -> None:
+        pass

@@ -213,7 +213,12 @@ class AnalyticEvaluator(Evaluator):
 
 
 class SimulatorEvaluator(Evaluator):
-    """Compile and run on the simulated machine.
+    """Compile and time on the simulated machine.
+
+    Only cycles are wanted, so candidates run through the data-free
+    :meth:`~repro.codegen.executor.CompiledKernel.time_only`; under the
+    sanitizer that runs the functional path too and fails unless both
+    reports agree.
 
     ``feeds=None`` generates deterministic synthetic inputs per compute.
     ``executions`` counts real simulated runs on *this* instance (in
@@ -244,7 +249,7 @@ class SimulatorEvaluator(Evaluator):
         )
         ck = CompiledKernel(candidate.kernel, candidate.compute, self.config)
         self.executions += 1
-        report = ck.run(feeds).report
+        report = ck.time_only(feeds)
         return Evaluation(measured_cycles=report.cycles, report=report)
 
 

@@ -182,7 +182,16 @@ def config_signature(config: MachineConfig) -> tuple:
     results.  Every cache whose value depends on instruction timing
     (micro-kernel schedules, Eq. (2) calibration fits, evaluation
     memos) must key on this signature instead.
+
+    The tuple is built once per instance and stored on it: the config
+    is frozen and its tables are only ever replaced wholesale (through
+    :meth:`MachineConfig.with_overrides`, which makes a new instance),
+    so the stored signature cannot go stale.  It travels with the
+    instance through pickling, as worker processes receive configs.
     """
+    cached = config.__dict__.get("_signature")
+    if cached is not None:
+        return cached
     sig = []
     for f in fields(config):
         value = getattr(config, f.name)
@@ -190,7 +199,9 @@ def config_signature(config: MachineConfig) -> tuple:
             sig.append((f.name, tuple(sorted(value.items()))))
         else:
             sig.append((f.name, value))
-    return tuple(sig)
+    cached = tuple(sig)
+    object.__setattr__(config, "_signature", cached)
+    return cached
 
 
 #: The default machine description used throughout the library.

@@ -38,6 +38,10 @@ Checks (the ``check`` field of every :class:`SanitizerError`):
     a second ``put`` before the matching ``get`` drains the bus, a
     ``get`` with nothing outstanding, or a ``get``/broadcast whose
     pattern disagrees with the outstanding ``put``.
+``timing-mismatch``
+    the data-free timing path
+    (:meth:`~repro.codegen.executor.CompiledKernel.time_only`) reporting
+    differently from the functional run it replaces.
 """
 
 from __future__ import annotations

@@ -232,3 +232,64 @@ class TestMachineSanitizer:
         san = CompiledKernel(ck.kernel, cd, sanitize=True).run(feeds)
         assert san.sanitizer_checks and san.sanitizer_checks > 0
         np.testing.assert_array_equal(plain.outputs["C"], san.outputs["C"])
+
+
+class TestTimeOnlyErrorParity:
+    """The data-free path keeps every check of the functional one: for
+    each malformed input or kernel, ``time_only`` raises the same
+    ``CodegenError`` as ``run``."""
+
+    @staticmethod
+    def assert_same_error(ck, feeds):
+        with pytest.raises(CodegenError) as slow:
+            ck.run(feeds)
+        with pytest.raises(CodegenError) as fast:
+            ck.time_only(feeds)
+        assert type(fast.value) is type(slow.value)
+        assert str(fast.value) == str(slow.value)
+
+    @staticmethod
+    def unsanitized(kernel_transform=None):
+        cd, ck = compiled()
+        kernel = ck.kernel
+        if kernel_transform is not None:
+            kernel = transform(kernel, kernel_transform)
+        return CompiledKernel(kernel, cd, sanitize=False)
+
+    def test_missing_feed(self):
+        feeds = _feeds()
+        del feeds["B"]
+        self.assert_same_error(self.unsanitized(), feeds)
+
+    def test_wrong_feed_shape(self):
+        feeds = _feeds()
+        feeds["A"] = feeds["A"][:, :63]
+        self.assert_same_error(self.unsanitized(), feeds)
+
+    def test_dma_access_out_of_range(self):
+        def corrupt(n):
+            if isinstance(n, DmaCgNode) and n.access.buffer == "A":
+                dims = ((AffineExpr(1000), 32), n.access.dims[1])
+                return DmaCgNode(
+                    TileAccess("A", dims), n.spm, n.direction,
+                    n.reply, n.geometry, n.phase_var,
+                )
+            return None
+
+        self.assert_same_error(self.unsanitized(corrupt), _feeds())
+
+    def test_gemm_view_exceeds_spm_allocation(self):
+        def inflate(n):
+            if isinstance(n, GemmOpNode):
+                return replace(n, m=n.m * 8, a_lens=(n.a_lens[0] * 8, *n.a_lens[1:]))
+            return None
+
+        self.assert_same_error(self.unsanitized(inflate), _feeds())
+
+    def test_gemm_dims_mismatch(self):
+        def skew(n):
+            if isinstance(n, GemmOpNode):
+                return replace(n, k=n.k + 1)
+            return None
+
+        self.assert_same_error(self.unsanitized(skew), _feeds())

@@ -101,6 +101,9 @@ class TestDrivers:
         res = E.tab3_tuning_time(scale=TINY, networks=("vgg16",))
         assert res.rows
         assert all(r.speedup > 1 for r in res.rows)
+        # the silicon column charges simulated kernel time, not host time
+        assert all(r.blackbox_silicon_seconds > 0 for r in res.rows)
+        assert "bb silicon" in res.table().render()
 
     def test_fig9(self):
         res = E.fig9_model_accuracy(scale=TINY)
