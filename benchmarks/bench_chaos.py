@@ -26,7 +26,7 @@ import time
 from pathlib import Path
 
 from repro.autotuner.calibrate import default_coeffs
-from repro.autotuner.model_tuner import tune_with_model
+from repro.autotuner import tune_with_model
 from repro.engine import clear_feeds_cache, clear_shared_memo, set_eval_cache
 from repro.faults import FaultPlan, set_fault_plan
 from repro.ops.gemm import make_compute as gemm_compute

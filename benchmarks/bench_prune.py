@@ -29,7 +29,7 @@ import time
 from pathlib import Path
 
 from repro.autotuner.calibrate import default_coeffs
-from repro.autotuner.model_tuner import tune_with_model
+from repro.autotuner import tune_with_model
 from repro.engine import clear_feeds_cache, clear_shared_memo
 from repro.ops.gemm import make_compute as gemm_compute
 from repro.ops.gemm import make_space as gemm_space

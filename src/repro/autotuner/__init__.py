@@ -1,6 +1,5 @@
 """Autotuning (Sec. 4.6): static cost model, calibration, tuners."""
 
-from .blackbox import tune_blackbox
 from .calibrate import (
     DEFAULT_GRID,
     calibration_samples,
@@ -17,8 +16,9 @@ from .cost_model import (
     predict_gemm,
     predict_kernel,
 )
-from .model_tuner import synthetic_feeds, tune_with_model
+from ..engine import synthetic_feeds
 from .result import CandidateScore, TuningResult
+from .tuner import tune_blackbox, tune_with_model
 
 __all__ = [
     "predict_kernel",

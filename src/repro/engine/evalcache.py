@@ -37,9 +37,8 @@ Design points:
   for diagnosis instead of being overwritten on the next flush.
 
 ``set_eval_cache`` installs a process-wide default store (the CLI's
-``--eval-cache PATH`` and ``AtopLibrary(eval_cache_path=...)`` both
-route here); every :class:`MemoizingEvaluator` without an explicit
-``disk`` argument picks it up.
+``--eval-cache PATH`` routes here); every :class:`MemoizingEvaluator`
+without an explicit ``disk`` argument picks it up.
 """
 
 from __future__ import annotations
@@ -107,11 +106,6 @@ def report_from_dict(
         config=config or default_config(),
         **{name: raw[name] for name in _REPORT_FIELDS if name in raw},
     )
-
-
-# private aliases kept for older call sites
-_report_to_dict = report_to_dict
-_report_from_dict = report_from_dict
 
 
 # --- shared persistence helpers ---------------------------------------

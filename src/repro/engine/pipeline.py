@@ -1,10 +1,6 @@
 """Candidate preparation: the single owner of enumerate -> lower -> optimize.
 
-Before this layer existed, ``autotuner/model_tuner.py`` and
-``autotuner/blackbox.py`` each hand-rolled the same
-``iter_candidates`` -> ``infer_dma`` -> ``apply_prefetch`` loop and
-``harness/runner.py`` re-implemented the compile path on the side.
-:class:`CandidatePipeline` is now the one place a schedule strategy
+:class:`CandidatePipeline` is the one place a schedule strategy
 becomes an optimized, executable kernel; every caller (both tuners, the
 operator runners, the runtime library's cached-replay path) routes
 through it.

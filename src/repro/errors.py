@@ -24,11 +24,6 @@ class MainMemoryError(MachineError):
     """Main-memory allocation or out-of-bounds access failure."""
 
 
-#: deprecated alias -- the old name shadowed the builtin with a
-#: trailing-underscore hack; new code should catch MainMemoryError.
-MemoryError_ = MainMemoryError
-
-
 class DmaError(MachineError):
     """Malformed DMA descriptor (bad stride/block/bounds/reply word)."""
 

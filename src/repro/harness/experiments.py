@@ -710,7 +710,7 @@ def fig11_padding(
     traditional whole-tensor padding."""
     from ..optimizer.boundary import pad_up, traditional_pad_cost
     from .runner import compile_strategy
-    from ..autotuner.model_tuner import synthetic_feeds
+    from ..engine import synthetic_feeds
 
     scale = scale or get_scale()
     cfg = config or default_config()

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..dsl.schedule import ScheduleStrategy
+from ..engine.evalcache import atomic_write_json, quarantine_corrupt
 from ..errors import ReproError
 
 logger = logging.getLogger(__name__)
@@ -154,27 +153,12 @@ class KernelCache:
     def save(self, path: Union[str, Path]) -> None:
         """Write the cache atomically (temp file + rename), so a killed
         process never leaves a half-written library file behind."""
-        path = Path(path)
-        payload = {
+        atomic_write_json(path, {
             "version": self.VERSION,
             "hits": self.hits,
             "misses": self.misses,
             "entries": {k: e.to_json() for k, e in self._entries.items()},
-        }
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        })
 
     @classmethod
     def load(cls, path: Union[str, Path], *, strict: bool = True) -> "KernelCache":
@@ -203,8 +187,6 @@ class KernelCache:
                     f"cannot read kernel cache {path}: {exc}"
                 ) from exc
             cache = cls()
-            from ..engine.evalcache import quarantine_corrupt
-
             cache.quarantined_path = quarantine_corrupt(
                 path, f"unreadable kernel cache ({exc})"
             )
@@ -213,8 +195,6 @@ class KernelCache:
             if strict:
                 raise
             cache = cls()
-            from ..engine.evalcache import quarantine_corrupt
-
             cache.quarantined_path = quarantine_corrupt(path, str(exc))
             return cache
         if payload.get("version") != cls.VERSION:

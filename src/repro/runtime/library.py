@@ -40,7 +40,6 @@ from ..harness.runner import (
     _shard_input,
 )
 from ..machine.config import MachineConfig, default_config
-from ..machine.sanitizer import set_sanitize
 from ..machine.trace import SimReport
 from ..ops import conv2d_reference, select_method
 from ..ops.conv_common import ConvParams
@@ -87,9 +86,7 @@ class AtopLibrary:
         *,
         quick: bool = True,
         cache_path: Optional[Union[str, Path]] = None,
-        eval_cache_path: Optional[Union[str, Path]] = None,
         validate: Optional[str] = None,
-        sanitize: Optional[bool] = None,
     ) -> None:
         self.config = config or default_config()
         self.quick = quick
@@ -100,22 +97,11 @@ class AtopLibrary:
             self.cache = KernelCache.load(self.cache_path, strict=False)
         else:
             self.cache = KernelCache()
-        # the kernel cache above persists winning *strategies*; the
-        # eval cache persists individual candidate *scores*, so even a
-        # first-time tuning call warm-starts from earlier processes.
-        if eval_cache_path is not None:
-            from ..engine import set_eval_cache
-
-            set_eval_cache(eval_cache_path)
         #: validation mode for library calls (``None`` inherits the
         #: process-wide default, see ``repro.engine.set_default_validate``)
         self.validate = (
             validate if validate is None else resolve_validate(validate)
         )
-        if sanitize is not None:
-            # like ``set_eval_cache`` above this installs process-wide
-            # state: the executor consults the sanitizer default.
-            set_sanitize(bool(sanitize))
         self.stats = LibraryStats()
         self._warned_keys: set = set()
 

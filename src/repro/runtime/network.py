@@ -21,8 +21,6 @@ from ..machine.trace import SimReport
 from ..ops import applicable_methods, conv2d_reference
 from ..ops.conv_common import ConvParams
 from ..workloads.networks import LayerSpec, network
-# MPE_FALLBACK_FLOPS moved to the library (the quarantine fallback is
-# timed at the same rate); re-exported here for older importers.
 from .library import AtopLibrary, MPE_FALLBACK_FLOPS
 
 #: layer methods that mean "the tuned kernel did not serve this layer":

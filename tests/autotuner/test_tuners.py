@@ -5,7 +5,8 @@ import pytest
 
 from repro.autotuner import synthetic_feeds, tune_blackbox, tune_with_model
 from repro.dsl import ScheduleSpace
-from repro.errors import TuningError
+from repro.engine import CandidatePipeline
+from repro.errors import TuningError, ValidationError
 
 from ..scheduler.test_lower import gemm_cd
 
@@ -165,3 +166,56 @@ class TestModelVsBlackbox:
         model = tune_with_model(cd, sp, run_best=False)
         brute = tune_blackbox(cd, sp)
         assert model.wall_seconds < brute.wall_seconds
+
+
+def _tune(tuner, cd, sp, **kw):
+    # top_k=3 gives the model tuner's winner walk a runner-up to fall to
+    if tuner == "model":
+        return tune_with_model(cd, sp, top_k=3, **kw)
+    return tune_blackbox(cd, sp, **kw)
+
+
+def _decisions(result):
+    return result.best.candidate.strategy.decisions
+
+
+@pytest.mark.parametrize("tuner", ["model", "blackbox"])
+class TestValidateArgument:
+    def test_modes_agree_on_winner(self, tuner):
+        cd, sp = small_space(128, 128, 128)
+        winners = [
+            _decisions(_tune(tuner, cd, sp, validate=mode))
+            for mode in ("off", "winner", "all")
+        ]
+        assert winners[0] == winners[1] == winners[2]
+
+    def test_failed_winner_falls_to_next_ranked(self, tuner, monkeypatch):
+        cd, sp = small_space(128, 128, 128)
+        baseline = _tune(tuner, cd, sp, validate="off", keep_scores=True)
+        ranked = sorted(
+            (s for s in baseline.scores if s.measured_cycles is not None),
+            key=lambda s: s.measured_cycles,
+        )
+        top = ranked[0].candidate.strategy.decisions
+        assert top == _decisions(baseline)
+        real = CandidatePipeline.validate
+
+        def reject_top(self, candidate, **kw):
+            if candidate.strategy.decisions == top:
+                raise ValidationError("injected mismatch")
+            return real(self, candidate, **kw)
+
+        monkeypatch.setattr(CandidatePipeline, "validate", reject_top)
+        result = _tune(tuner, cd, sp, validate="winner")
+        assert _decisions(result) == ranked[1].candidate.strategy.decisions
+        assert result.best.measured_cycles == ranked[1].measured_cycles
+
+    def test_every_candidate_failing_raises(self, tuner, monkeypatch):
+        cd, sp = small_space(128, 128, 128)
+
+        def reject_all(self, candidate, **kw):
+            raise ValidationError("injected mismatch")
+
+        monkeypatch.setattr(CandidatePipeline, "validate", reject_all)
+        with pytest.raises(TuningError, match="differential validation"):
+            _tune(tuner, cd, sp, validate="winner")

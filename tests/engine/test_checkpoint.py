@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.autotuner.model_tuner import tune_with_model
+from repro.autotuner import tune_with_model
 from repro.dsl import ScheduleSpace
 from repro.engine import (
     AnalyticEvaluator,

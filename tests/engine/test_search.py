@@ -7,7 +7,7 @@ walk, at any worker count, for any machine config.
 
 import pytest
 
-from repro.autotuner.model_tuner import tune_with_model
+from repro.autotuner import tune_with_model
 from repro.dsl import ScheduleSpace
 from repro.engine import (
     AnalyticEvaluator,

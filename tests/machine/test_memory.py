@@ -8,14 +8,6 @@ from repro.machine.config import default_config
 from repro.machine.memory import Buffer, MainMemory, transaction_bytes
 
 
-def test_deprecated_alias_still_catches():
-    from repro import errors
-
-    assert errors.MemoryError_ is MainMemoryError
-    with pytest.raises(errors.MemoryError_):
-        MainMemory(1 << 10).alloc("a", (0,))
-
-
 class TestAllocation:
     def test_alloc_returns_aligned_address(self):
         mem = MainMemory(1 << 20)
