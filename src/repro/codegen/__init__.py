@@ -19,7 +19,7 @@ def compile_candidate(
 ) -> CompiledKernel:
     """Run the optimizer pass pipeline on a raw candidate and bind it
     to the machine: DMA inference (+hoisting), then automatic latency
-    hiding -- verified after every stage.
+    hiding -- with the resulting IR verified.
 
     ``prefetch=False`` builds the Fig. 10 baseline (no double
     buffering); note the candidate must then have been lowered with

@@ -9,7 +9,9 @@ Both halves run on :class:`~repro.passes.manager.PassManager`
 instances -- the lowering stages (decode-strategy / build-loop-nest /
 plan-spm) and the optimizer stages (infer-dma / hoist-dma / prefetch /
 analyze-boundary) -- so every consumer inherits per-pass timing and the
-interleaved structural verifier.  Wall time lands in distinct
+structural verifier, which checks each manager run's final kernel once
+(two checks per lowered candidate) and re-checks the intermediate IR
+only to name the offending pass when something fails.  Wall time lands in distinct
 :class:`~repro.engine.metrics.EngineMetrics` stages: ``enumeration``
 (the pure space walk), ``lowering`` (strategy -> raw IR, including
 pruned strategies) and ``optimization``.

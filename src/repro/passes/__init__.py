@@ -4,10 +4,12 @@ Every IR transformation in the reproduction -- the lowering stages that
 turn a schedule strategy into kernel IR, and the optimizer stages of
 Sec. 4.5 (DMA inference/hoisting, automatic latency hiding, boundary
 analysis) -- runs as a named :class:`Pass` on a :class:`PassManager`.
-The manager times every pass, records IR node-count deltas, feeds the
-totals into :class:`~repro.engine.metrics.EngineMetrics`, and runs the
-structural :func:`check_kernel` verifier after every stage so a
-malformed rewrite is reported at its source
+The manager times every pass, feeds the totals into
+:class:`~repro.engine.metrics.EngineMetrics`, keeps a trace whose IR
+node counts are computed when read, and runs the structural
+:func:`check_kernel` verifier once on the final kernel.  When that
+check fails or a pass raises, the recorded per-pass outputs are
+re-checked so a malformed rewrite is still reported at its source
 (:class:`~repro.errors.PassVerificationError` names the offending
 pass).
 
@@ -39,7 +41,7 @@ from .optimize import (
     PrefetchPass,
     optimize_passes,
 )
-from .verifier import ALL_INVARIANTS, VerifyPass, check_kernel
+from .verifier import ALL_INVARIANTS, check_kernel
 
 __all__ = [
     "Pass",
@@ -52,7 +54,6 @@ __all__ = [
     "DMA_GEOMETRY",
     "ALL_INVARIANTS",
     "check_kernel",
-    "VerifyPass",
     "DecodeStrategyPass",
     "BuildLoopNestPass",
     "PlanSpmPass",

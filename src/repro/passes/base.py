@@ -7,8 +7,7 @@ takes a :class:`PassContext` (everything that parameterizes the
 pipeline: compute seed, schedule strategy, machine config, lowering
 options) plus the current kernel IR, and returns the (possibly new)
 kernel.  A :class:`~repro.passes.manager.PassManager` runs an ordered
-list of passes with per-pass instrumentation and interleaved IR
-verification.
+list of passes with per-pass timing and verifies the resulting IR.
 
 Passes come in three flavours:
 
@@ -23,7 +22,8 @@ Passes come in three flavours:
 ``establishes`` names the invariants a pass guarantees from that point
 of the pipeline on (e.g. ``"spm-plan"`` after memory planning,
 ``"dma-geometry"`` after DMA inference); the verifier only enforces an
-invariant once some pass has established it.
+invariant on a pass's output once that pass or an earlier one has
+established it.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 from ..dsl.compute import ComputeDef
 from ..dsl.schedule import ScheduleStrategy
 from ..ir.nodes import KernelNode
+from ..ir.visitors import count_nodes
 from ..machine.config import MachineConfig, default_config
 from ..primitives.registry import PrimitiveRegistry
 from ..scheduler.lower import LoweringOptions
@@ -69,7 +70,7 @@ class Pass:
     #: and ``--dump-ir=<name>`` filters).
     name: str = "pass"
     #: invariant keys this pass establishes (enforced by the verifier
-    #: after this pass and every later one).
+    #: on the output of this pass and of every later one).
     establishes: Tuple[str, ...] = ()
 
     def run(
@@ -105,12 +106,25 @@ class FunctionPass(Pass):
 
 @dataclass(frozen=True)
 class PassRun:
-    """Instrumentation record of one pass execution."""
+    """Instrumentation record of one pass execution.
+
+    Holds references to the pass's input and output kernels (passes
+    never mutate IR, so these are the trees themselves, not copies);
+    node counts are computed only when someone reads them.
+    """
 
     name: str
     seconds: float
-    nodes_before: int
-    nodes_after: int
+    before: Optional[KernelNode] = None
+    after: Optional[KernelNode] = None
+
+    @property
+    def nodes_before(self) -> int:
+        return count_nodes(self.before) if self.before is not None else 0
+
+    @property
+    def nodes_after(self) -> int:
+        return count_nodes(self.after) if self.after is not None else 0
 
     @property
     def delta(self) -> int:
@@ -118,8 +132,10 @@ class PassRun:
         return self.nodes_after - self.nodes_before
 
     def describe(self) -> str:
-        sign = "+" if self.delta >= 0 else ""
+        before, after = self.nodes_before, self.nodes_after
+        delta = after - before
+        sign = "+" if delta >= 0 else ""
         return (
             f"{self.name}: {self.seconds * 1e3:.2f}ms "
-            f"{self.nodes_before}->{self.nodes_after} nodes ({sign}{self.delta})"
+            f"{before}->{after} nodes ({sign}{delta})"
         )

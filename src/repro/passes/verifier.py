@@ -1,10 +1,10 @@
-"""The IR verifier: structural invariants checked between passes.
+"""The IR verifier: structural invariants of pass-pipeline output.
 
 A growing tuner fleet lowers and rewrites millions of kernels; a pass
 that silently produces malformed IR corrupts every downstream stage
 (mis-priced candidates, wrong functional results, executor crashes far
-from the cause).  The verifier makes the contract explicit: after every
-pipeline stage the kernel must satisfy
+from the cause).  The verifier makes the contract explicit: the output
+of every pipeline stage must satisfy
 
 1. **declared buffers** -- every DMA / GEMM / zero-fill references an
    SPM buffer declared in the kernel's allocs, and every DMA tile
@@ -21,10 +21,13 @@ pipeline stage the kernel must satisfy
 5. **DMA geometry** (once ``dma-geometry`` is established) -- every DMA
    node carries its inferred per-CPE descriptor geometry.
 
-:func:`check_kernel` returns the violations as strings;
-:class:`~repro.passes.manager.PassManager` raises
-:class:`~repro.errors.PassVerificationError` naming the offending pass
-when the list is non-empty.
+:func:`check_kernel` returns the violations as strings.
+:class:`~repro.passes.manager.PassManager` calls it once per run, on
+the final kernel; when that list is non-empty (or a pass raised) it
+re-checks every pass's recorded output in order and raises
+:class:`~repro.errors.PassVerificationError` naming the first
+offending pass.  :class:`~repro.codegen.executor.CompiledKernel`
+checks again before a kernel executes.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from ..ir.visitors import walk
 from ..machine.config import MachineConfig, default_config
 from ..optimizer.memplan import plan_spm
 from ..optimizer.prefetch import direct_stream_dmas
-from .base import DMA_GEOMETRY, SPM_PLANNED, Pass, PassContext
+from .base import DMA_GEOMETRY, SPM_PLANNED
 
 #: invariants enforced unconditionally when check_kernel is called
 #: standalone (a finished kernel should satisfy everything).
@@ -209,24 +212,3 @@ def _check_dma_geometry(kernel: KernelNode) -> List[str]:
 def kernel_alloc_names(kernel: KernelNode) -> Set[str]:
     return {a.name for a in kernel.allocs}
 
-
-class VerifyPass(Pass):
-    """Explicit verification stage (the manager also interleaves the
-    same checks automatically after every pass when ``verify=True``)."""
-
-    name = "verify"
-
-    def run(self, ctx: PassContext, kernel: Optional[KernelNode]):
-        from ..errors import PassVerificationError
-
-        if kernel is None:
-            return None
-        violations = check_kernel(
-            kernel,
-            compute=ctx.compute,
-            config=ctx.config,
-            established=ctx.established,
-        )
-        if violations:
-            raise PassVerificationError(self.name, violations)
-        return None

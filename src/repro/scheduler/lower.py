@@ -89,8 +89,8 @@ def lower_strategy(
 
     Thin wrapper over the verified pass pipeline: runs the
     decode-strategy / build-loop-nest / plan-spm stages on a
-    :class:`~repro.passes.manager.PassManager` with interleaved IR
-    verification.  Raises :class:`IllegalCandidateError` for strategies
+    :class:`~repro.passes.manager.PassManager`, which verifies the
+    resulting IR.  Raises :class:`IllegalCandidateError` for strategies
     the scheduler must prune (bad loop order, SPM overflow, no legal
     primitive) and :class:`LoweringError` for structural problems in
     the seed itself.
@@ -355,14 +355,10 @@ class _KernelBuilder:
         nodes: List[Node] = []
         if full_trips > 0:
             var = f"c{axis}"
-            off = offsets | {axis: AffineExpr.var(var) * tile}
-            body = next_level(level + 1, off, lens | {axis: tile})
-            if full_trips == 1:
-                # trip-count-1 loops collapse: bind the index to zero
-                body = _substitute_var(body, var, 0)
-                nodes.append(body)
-            else:
-                nodes.append(ForNode(var, full_trips, body))
+            # a trip-count-1 loop collapses: its index is always zero
+            start = AffineExpr.var(var) * tile if full_trips > 1 else AffineExpr(0)
+            body = next_level(level + 1, offsets | {axis: start}, lens | {axis: tile})
+            nodes.append(body if full_trips == 1 else ForNode(var, full_trips, body))
         if tail > 0:
             # boundary region: the peeled remainder iteration
             off = offsets | {axis: AffineExpr(full_trips * tile)}
@@ -588,26 +584,3 @@ def _inflate_last_col(
         out[last] = -(-target // max(1, others))
     return tuple(out)
 
-
-def _substitute_var(node: Node, var: str, value: int) -> Node:
-    """Bind a loop variable to a constant throughout a subtree (used
-    when collapsing trip-count-1 loops)."""
-    from ..ir.visitors import transform
-
-    def rewrite(n: Node):
-        if isinstance(n, DmaCgNode):
-            dims = tuple(
-                (off.substitute({var: value}), length)
-                for off, length in n.access.dims
-            )
-            return DmaCgNode(
-                access=TileAccess(n.access.buffer, dims),
-                spm=n.spm,
-                direction=n.direction,
-                reply=n.reply,
-                geometry=n.geometry,
-                phase_var=n.phase_var,
-            )
-        return None
-
-    return transform(node, rewrite)

@@ -59,7 +59,7 @@ class TestInstrumentation:
         assert metrics.lowering.count == 1
         assert metrics.lowering.seconds > 0
         assert set(metrics.passes) == {
-            "decode-strategy", "build-loop-nest", "plan-spm"
+            "decode-strategy", "build-loop-nest", "plan-spm", "verify"
         }
         assert all(s.count == 1 for s in metrics.passes.values())
         assert "lower" in metrics.describe()
@@ -81,6 +81,42 @@ class TestInstrumentation:
         ctx = PassContext(compute=cd, strategy=strategy)
         PassManager([*lowering_passes(), *optimize_passes()]).run(ctx)
         assert {"spm-plan", "dma-geometry"} <= ctx.established
+
+
+    def test_realize_verifies_twice_and_counts_nothing(self, monkeypatch):
+        """A healthy candidate costs one verifier call per manager run
+        (lowering, optimization) and no node counting at all."""
+        import sys
+
+        import repro.ir.visitors
+        import repro.passes.verifier
+
+        calls = {"check_kernel": 0, "count_nodes": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            # rebind every repro module that imported the function
+            for mod in list(sys.modules.values()):
+                if getattr(mod, "__name__", "").startswith("repro") and (
+                    getattr(mod, name, None) is original
+                ):
+                    monkeypatch.setattr(mod, name, wrapper)
+
+        counting(repro.passes.verifier, "check_kernel")
+        counting(repro.ir.visitors, "count_nodes")
+        cd, strategy = gemm_setup()
+        pipe = CandidatePipeline(cd)
+        assert pipe.realize(strategy) is not None
+        assert calls == {"check_kernel": 2, "count_nodes": 0}
+        assert pipe.metrics.passes["verify"].count == 2
+        # the trace still counts on demand
+        assert pipe.optimizer.last_trace[0].nodes_after > 0
+        assert calls["count_nodes"] > 0
 
 
 class TestFailureSemantics:

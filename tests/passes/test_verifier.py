@@ -123,6 +123,94 @@ class TestBrokenKernels:
         assert any("ghost_var" in v for v in err.value.violations)
 
 
+def dangle_dmas(ctx, kernel):
+    return rewrite_dmas(kernel, lambda d: dataclasses.replace(d, spm="spm_ghost"))
+
+
+def ghost_tensor_dmas(ctx, kernel):
+    return rewrite_dmas(
+        kernel,
+        lambda d: dataclasses.replace(
+            d, access=TileAccess("ghost_tensor", d.access.dims)
+        ),
+    )
+
+
+def mid_pipeline(breaker, *rest, verify=True):
+    """Lowering, then ``breaker``, then the optimizer passes (plus
+    ``rest``), in one manager run."""
+    cd, strategy = gemm_strategy()
+    passes = [*lowering_passes(), breaker, *optimize_passes(), *rest]
+    return PassManager(passes, verify=verify).run(
+        PassContext(compute=cd, strategy=strategy)
+    )
+
+
+class TestVerifyOnce:
+    """The manager checks only the final kernel, and re-checks the
+    recorded per-pass outputs only when something fails."""
+
+    def test_persisting_damage_names_its_source(self):
+        """Damage done between plan-spm and infer-dma survives to the
+        end of the run; the error names the breaker, not the last pass,
+        with the violations a check right after the breaker finds."""
+        breaker = FunctionPass("break-mid", dangle_dmas)
+        with pytest.raises(PassVerificationError) as err:
+            mid_pipeline(breaker)
+        assert err.value.pass_name == "break-mid"
+        assert err.value.__cause__ is None
+
+        cd, strategy = gemm_strategy()
+        ctx = PassContext(compute=cd, strategy=strategy)
+        broken = PassManager([*lowering_passes(), breaker], verify=False).run(ctx)
+        assert err.value.violations == check_kernel(
+            broken, compute=cd, established=ctx.established
+        )
+        assert any("spm_ghost" in v for v in err.value.violations)
+
+    def test_later_pass_failure_names_the_breaker(self):
+        """Damage that makes a later pass raise is reported as a
+        verification error of the breaker, chained from the later
+        pass's exception."""
+        breaker = FunctionPass("break-tensor", ghost_tensor_dmas)
+        with pytest.raises(Exception) as plain:
+            mid_pipeline(breaker, verify=False)
+        assert not isinstance(plain.value, PassVerificationError)
+
+        with pytest.raises(PassVerificationError) as err:
+            mid_pipeline(breaker)
+        assert err.value.pass_name == "break-tensor"
+        assert any("ghost_tensor" in v for v in err.value.violations)
+        cause = err.value.__cause__
+        assert type(cause) is type(plain.value)
+        assert cause.args == plain.value.args
+
+    def test_pass_failure_after_clean_passes_propagates(self):
+        def explode(ctx, kernel):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            mid_pipeline(FunctionPass("no-op", lambda ctx, k: None),
+                         FunctionPass("explode", explode))
+
+    def test_repaired_damage_is_not_reported(self):
+        """Only IR a consumer can see is checked: a violation a later
+        pass undoes before the end of the run goes unreported."""
+        saved = {}
+
+        def dangle(ctx, kernel):
+            saved["kernel"] = kernel
+            return dangle_dmas(ctx, kernel)
+
+        cd, strategy = gemm_strategy()
+        passes = [
+            *lowering_passes(),
+            FunctionPass("break", dangle),
+            FunctionPass("repair", lambda ctx, k: saved["kernel"]),
+        ]
+        PassManager(passes).run(PassContext(compute=cd, strategy=strategy))
+
+
 class TestCheckKernel:
     def test_healthy_pipeline_is_clean(self):
         cd, strategy = gemm_strategy()

@@ -3,8 +3,7 @@
 
 ``infer_dma`` and ``apply_prefetch`` are pipeline stages: consumers go
 through ``repro.passes`` (PassManager + ``optimize_passes()``) so every
-kernel inherits per-pass instrumentation and interleaved IR
-verification.  A module that imports the raw functions directly
+kernel inherits per-pass instrumentation and IR verification.  A module that imports the raw functions directly
 silently opts out of both, which is exactly the class of drift this
 check exists to stop.
 
