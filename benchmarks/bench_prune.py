@@ -79,6 +79,8 @@ def run_sweep(shapes, *, quick_space: bool) -> dict:
                 "bound_pruned": on.metrics.bound_pruned,
                 "spm_pruned": on.metrics.spm_pruned,
                 "prune_batches": len(on.metrics.prune_batches),
+                "bounds_s": round(on.metrics.bounds.seconds, 4),
+                "enumeration_s": round(on.metrics.enumeration.seconds, 4),
                 "wall_off_s": round(walls[False], 3),
                 "wall_on_s": round(walls[True], 3),
                 "speedup": round(walls[False] / walls[True], 2),

@@ -14,6 +14,7 @@ lowers each strategy to IR, pruning illegal ones.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -194,30 +195,41 @@ class ScheduleSpace:
         return cv
 
     # --- enumeration ------------------------------------------------------------
+    def pools(self) -> Tuple[List[str], List[Tuple[Choice, ...]]]:
+        """The decision keys and their candidate pools, in enumeration
+        order: tile factors as split, then choices as declared."""
+        keys = [fv.key for fv in self._factors.values()] + list(self._choices)
+        pools = [fv.candidates for fv in self._factors.values()] + [
+            cv.candidates for cv in self._choices.values()
+        ]
+        return keys, pools
+
     @property
     def decision_keys(self) -> List[str]:
-        return [fv.key for fv in self._factors.values()] + list(self._choices)
+        return self.pools()[0]
 
     def size(self) -> int:
-        n = 1
-        for fv in self._factors.values():
-            n *= len(fv.candidates)
-        for cv in self._choices.values():
-            n *= len(cv.candidates)
-        return n
+        return math.prod(len(pool) for pool in self.pools()[1])
 
     def strategies(self) -> Iterator[ScheduleStrategy]:
         """Enumerate every point of the space (pre-pruning)."""
-        keys: List[str] = []
-        pools: List[Tuple[Choice, ...]] = []
-        for fv in self._factors.values():
-            keys.append(fv.key)
-            pools.append(fv.candidates)
-        for cv in self._choices.values():
-            keys.append(cv.key)
-            pools.append(cv.candidates)
+        keys, pools = self.pools()
         for combo in itertools.product(*pools):
             yield ScheduleStrategy(dict(zip(keys, combo)))
+
+    def strategy_at(self, index: int) -> ScheduleStrategy:
+        """The ``index``-th strategy of :meth:`strategies`, without
+        walking the space: a mixed-radix decode in which the last
+        decision varies fastest, as in :func:`itertools.product`."""
+        keys, pools = self.pools()
+        combo: List[Choice] = []
+        rest = index
+        for pool in reversed(pools):
+            rest, digit = divmod(rest, len(pool))
+            combo.append(pool[digit])
+        if rest:  # negative, or not below the space size
+            raise IndexError(f"strategy index {index} outside [0, {self.size()})")
+        return ScheduleStrategy(dict(zip(keys, reversed(combo))))
 
     def strategy(self, **overrides: Choice) -> ScheduleStrategy:
         """A single strategy: first candidate of every decision, with

@@ -24,6 +24,7 @@ from .bounds import (
     BOUND_SAFETY,
     StrategyBound,
     definitely_infeasible,
+    space_bounds,
     strategy_bound,
 )
 from .checkpoint import (
@@ -138,6 +139,7 @@ __all__ = [
     "set_default_workers",
     "set_eval_cache",
     "shared_memo_size",
+    "space_bounds",
     "strategy_key",
     "strategy_bound",
     "synthetic_feeds",

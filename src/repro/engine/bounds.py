@@ -28,6 +28,12 @@ A pipelined kernel can at best fully overlap the two, so the bound is
 their ``max()`` -- never their sum.  Any strategy the decoder cannot
 interpret gets the vacuous bound 0.0, which never prunes.
 
+The search bounds whole spaces at once (:func:`space_bounds`): the DMA
+term depends only on a strategy's skeleton (tiles and loop order) and
+the compute term only on its kernel variant, so each is computed once
+per distinct value and broadcast over the space's decision product.
+:func:`strategy_bound` is the same arithmetic for one strategy.
+
 The same pre-IR decode also yields :func:`definitely_infeasible`: a
 *conservative* floor on the per-CPE SPM footprint (perfect 8x8 split,
 no padding, no alignment).  When even that floor overflows the 64 KB
@@ -38,26 +44,34 @@ building its loop nest at all.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..dsl.compute import REDUCTION, ComputeDef, ShiftedDim
-from ..dsl.schedule import ScheduleStrategy
+import numpy as np
+
+from ..dsl.compute import ComputeDef, ShiftedDim
+from ..dsl.schedule import ScheduleSpace, ScheduleStrategy
+from ..errors import IllegalCandidateError
 from ..machine.config import MachineConfig, default_config
 from ..primitives.microkernel import (
     BLOCK_SCALARS,
     BLOCK_VECS,
-    COL_MAJOR,
-    KernelVariant,
     cycles_per_k_step,
 )
-from ..scheduler.lower import LoweringOptions
+from ..scheduler.lower import (
+    LoweringOptions,
+    kernel_variant,
+    loop_order,
+    tile_decision,
+)
 
 __all__ = [
     "BOUND_SAFETY",
     "StrategyBound",
     "definitely_infeasible",
+    "space_bounds",
     "strategy_bound",
 ]
 
@@ -91,31 +105,20 @@ VACUOUS = StrategyBound(0.0, 0.0, 0, 0.0)
 def _decode(
     compute: ComputeDef, strategy: ScheduleStrategy
 ) -> Optional[Tuple[Dict[str, int], Tuple[str, ...]]]:
-    """Mirror of the decode-strategy pass's tile/order extraction.
+    """Tiles and loop order as the decode-strategy pass reads them.
 
     Tiles are clipped into [1, extent] (an out-of-range tile would make
     the candidate illegal anyway); ``None`` means the strategy carries
-    decisions this cheap decoder does not understand -- the caller must
-    fall back to the vacuous bound.
+    decisions the decoder cannot read -- the caller must fall back to
+    the vacuous bound.
     """
-    tiles: Dict[str, int] = {}
-    for name, axis in compute.axes.items():
-        tile = strategy.get(f"tile:{name}")
-        if tile is None:
-            tiles[name] = axis.extent
-            continue
-        try:
-            tiles[name] = max(1, min(int(tile), axis.extent))
-        except (TypeError, ValueError):
-            return None
-
-    order = strategy.get("order")
-    if order is None:
-        spatial = [a for a in compute.axes if compute.axes[a].kind != REDUCTION]
-        reduction = [a for a in compute.axes if compute.axes[a].kind == REDUCTION]
-        return tiles, tuple(spatial + reduction)
-    order = tuple(order)
-    if set(order) != set(compute.axes):
+    try:
+        tiles = {
+            name: max(1, min(tile_decision(compute, strategy, name), axis.extent))
+            for name, axis in compute.axes.items()
+        }
+        order = loop_order(compute, strategy)
+    except (TypeError, ValueError, IllegalCandidateError):
         return None
     return tiles, order
 
@@ -147,22 +150,27 @@ def _variant_step_scale(
     16-cycle k-step (>= 1 for every real variant; 1.0 -- the peak
     fallback -- when the decisions do not name a valid variant)."""
     try:
-        variant = KernelVariant(
-            str(strategy.get("spm_layout:a", COL_MAJOR)),
-            str(strategy.get("spm_layout:b", COL_MAJOR)),
-            str(strategy.get("vec_dim", "M")),
-        )
+        variant = kernel_variant(strategy)
     except Exception:
         return 1.0
     return max(1.0, cycles_per_k_step(variant, cfg) / _IDEAL_K_STEP)
 
 
-def strategy_bound(
-    compute: ComputeDef,
-    strategy: ScheduleStrategy,
-    config: Optional[MachineConfig] = None,
-) -> StrategyBound:
-    """Admissible cost lower bound for one strategy of ``compute``.
+def _compute_cycles(
+    compute: ComputeDef, strategy: ScheduleStrategy, cfg: MachineConfig
+) -> float:
+    """The compute bound; reads only the kernel-variant decisions."""
+    flops = 2.0 * math.prod(a.extent for a in compute.axes.values())
+    return (
+        flops
+        / (cfg.cpes_per_cg * cfg.flops_per_vmad)
+        * _variant_step_scale(strategy, cfg)
+    )
+
+
+class _DmaTerm:
+    """The DMA bound of one compute on one machine; reads only a
+    strategy's tile and order decisions.
 
     For every tensor, the innermost *materialized* loop (trip count
     > 1) that indexes it determines how often its tile must be
@@ -172,55 +180,123 @@ def strategy_bound(
     produce no loop and therefore no re-transfers, matching what the
     hoist pass achieves on the real IR.
     """
+
+    def __init__(self, compute: ComputeDef, cfg: MachineConfig) -> None:
+        self.compute = compute
+        self.cfg = cfg
+        self.tensors = [
+            (_indexing_axes(spec), math.prod(compute.tensor_shape(name)))
+            for name, spec in compute.tensors.items()
+        ]
+
+    def __call__(
+        self, strategy: ScheduleStrategy
+    ) -> Optional[Tuple[float, int, float]]:
+        """``(cycles, transfers, bytes)``; ``None`` when the tile and
+        order decisions are undecodable."""
+        decoded = _decode(self.compute, strategy)
+        if decoded is None:
+            return None
+        tiles, order = decoded
+        cfg = self.cfg
+
+        trips = {
+            name: -(-axis.extent // tiles[name])
+            for name, axis in self.compute.axes.items()
+        }
+        loops = [a for a in order if trips[a] > 1]
+
+        transfers = 0
+        total_bytes = 0.0
+        for indexing, tensor_elems in self.tensors:
+            last = -1
+            for i, axis in enumerate(loops):
+                if axis in indexing:
+                    last = i
+            execs = 1
+            replication = 1
+            for axis in loops[: last + 1]:
+                execs *= trips[axis]
+                if axis not in indexing:
+                    replication *= trips[axis]
+            transfers += execs
+            total_bytes += tensor_elems * cfg.dtype_bytes * replication
+
+        dma_cycles = (
+            transfers * (cfg.dma_latency_cycles + cfg.dma_issue_cycles)
+            + total_bytes / cfg.dram_bytes_per_cycle
+        )
+        return dma_cycles, transfers, total_bytes
+
+
+def strategy_bound(
+    compute: ComputeDef,
+    strategy: ScheduleStrategy,
+    config: Optional[MachineConfig] = None,
+) -> StrategyBound:
+    """Admissible cost lower bound for one strategy of ``compute``."""
     cfg = config or default_config()
-    decoded = _decode(compute, strategy)
-    if decoded is None:
+    dma = _DmaTerm(compute, cfg)(strategy)
+    if dma is None:
         return VACUOUS
-    tiles, order = decoded
-
-    trips = {
-        name: -(-axis.extent // tiles[name])
-        for name, axis in compute.axes.items()
-    }
-    loops = [a for a in order if trips[a] > 1]
-
-    transfers = 0
-    total_bytes = 0.0
-    for name, spec in compute.tensors.items():
-        indexing = _indexing_axes(spec)
-        last = -1
-        for i, axis in enumerate(loops):
-            if axis in indexing:
-                last = i
-        prefix = loops[: last + 1]
-        execs = 1
-        replication = 1
-        for axis in prefix:
-            execs *= trips[axis]
-            if axis not in indexing:
-                replication *= trips[axis]
-        tensor_elems = math.prod(compute.tensor_shape(name))
-        transfers += execs
-        total_bytes += tensor_elems * cfg.dtype_bytes * replication
-
-    dma_cycles = (
-        transfers * (cfg.dma_latency_cycles + cfg.dma_issue_cycles)
-        + total_bytes / cfg.dram_bytes_per_cycle
-    )
-
-    flops = 2.0 * math.prod(a.extent for a in compute.axes.values())
-    compute_cycles = (
-        flops
-        / (cfg.cpes_per_cg * cfg.flops_per_vmad)
-        * _variant_step_scale(strategy, cfg)
-    )
-
+    dma_cycles, transfers, total_bytes = dma
     return StrategyBound(
         dma_cycles=dma_cycles,
-        compute_cycles=compute_cycles,
+        compute_cycles=_compute_cycles(compute, strategy, cfg),
         transfers=transfers,
         dma_bytes=total_bytes,
     )
+
+
+#: the decisions the compute term reads: they select the kernel variant
+_VARIANT_KEYS = ("spm_layout:a", "spm_layout:b", "vec_dim")
+
+
+def space_bounds(
+    compute: ComputeDef,
+    space: ScheduleSpace,
+    config: Optional[MachineConfig] = None,
+) -> np.ndarray:
+    """``strategy_bound(...).cycles`` of every strategy of ``space``, as
+    a float64 array in enumeration order.
+
+    The DMA term reads only the skeleton (tiles and loop order) and the
+    compute term only the kernel variant, so each is evaluated once per
+    distinct combination of the decisions it reads -- through the same
+    helpers as :func:`strategy_bound`, so every value is ``==`` -- and
+    laid out with size-1 axes for the decisions it ignores.  Their
+    ``max`` is broadcast over the space's decision product.  A skeleton
+    the decoder cannot read bounds all of its strategies by 0.0.
+    """
+    cfg = config or default_config()
+    keys, pools = space.pools()
+    # a key declared twice resolves to its last pool, as in strategies()
+    position = {key: i for i, key in enumerate(keys)}
+
+    def term(reads, fn) -> np.ndarray:
+        axes = sorted({position[k] for k in reads if k in position})
+        values = [
+            fn(ScheduleStrategy({keys[i]: v for i, v in zip(axes, combo)}))
+            for combo in itertools.product(*(pools[i] for i in axes))
+        ]
+        shape = [len(pool) if i in axes else 1 for i, pool in enumerate(pools)]
+        return np.array(values, dtype=np.float64).reshape(shape)
+
+    dma_term = _DmaTerm(compute, cfg)
+
+    def dma_cycles(skeleton: ScheduleStrategy) -> float:
+        dma = dma_term(skeleton)
+        return math.nan if dma is None else dma[0]
+
+    dma = term(
+        [f"tile:{name}" for name in compute.axes] + ["order"], dma_cycles
+    )
+    compute_cycles = term(
+        _VARIANT_KEYS, lambda variant: _compute_cycles(compute, variant, cfg)
+    )
+    cycles = np.empty([len(pool) for pool in pools])
+    cycles[...] = np.where(np.isnan(dma), 0.0, np.maximum(dma, compute_cycles))
+    return cycles.ravel()
 
 
 def definitely_infeasible(

@@ -66,8 +66,10 @@ class EngineMetrics:
     """Stage-by-stage accounting of one (or several merged) tuning runs.
 
     ``enumeration.count`` counts *declared* strategies (legal + pruned)
-    and its time is the pure space walk; ``bounds`` is the strategy-level
-    lower-bound computation of the branch-and-bound search; ``lowering``
+    and its time is the pure space walk (under branch-and-bound: building
+    the strategies the search takes); ``bounds`` is the whole-space
+    lower-bound computation of the branch-and-bound search, counted once
+    per declared strategy; ``lowering``
     is the pass pipeline that turns each strategy into raw IR
     (previously folded into enumeration, mis-charging replay compiles);
     ``optimization``/``prediction``/``execution`` count candidates that

@@ -110,10 +110,6 @@ def set_default_policy(policy: Optional[SupervisionPolicy]) -> None:
     _DEFAULT_POLICY = policy if policy is not None else SupervisionPolicy()
 
 
-def default_policy() -> SupervisionPolicy:
-    return _DEFAULT_POLICY
-
-
 def resolve_policy(policy: Optional[SupervisionPolicy]) -> SupervisionPolicy:
     return _DEFAULT_POLICY if policy is None else policy
 

@@ -13,8 +13,9 @@ structural verifier, which checks each manager run's final kernel once
 (two checks per lowered candidate) and re-checks the intermediate IR
 only to name the offending pass when something fails.  Wall time lands in distinct
 :class:`~repro.engine.metrics.EngineMetrics` stages: ``enumeration``
-(the pure space walk), ``lowering`` (strategy -> raw IR, including
-pruned strategies) and ``optimization``.
+(the pure space walk, or building the strategies a search takes),
+``bounds`` (the whole-space bound), ``lowering`` (strategy -> raw IR,
+including pruned strategies) and ``optimization``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import numbers
 import time
 from typing import Iterator, Optional
+
+import numpy as np
 
 from ..dsl.compute import ComputeDef
 from ..dsl.schedule import ScheduleSpace, ScheduleStrategy
@@ -34,7 +37,7 @@ from ..passes.optimize import optimize_passes
 from ..primitives.registry import PrimitiveRegistry
 from ..scheduler.enumerate import Candidate, EnumerationStats
 from ..scheduler.lower import LoweringOptions
-from .bounds import StrategyBound, definitely_infeasible, strategy_bound
+from .bounds import definitely_infeasible, space_bounds
 from .metrics import EngineMetrics
 
 
@@ -133,16 +136,19 @@ class CandidatePipeline:
         return self.optimize(Candidate(strategy, kernel, self.compute))
 
     # --- space enumeration ------------------------------------------------
+    def _space(self) -> ScheduleSpace:
+        if self.space is None:
+            raise TuningError(
+                f"pipeline for {self.compute.name!r} has no schedule space"
+            )
+        return self.space
+
     def strategies(self) -> Iterator[ScheduleStrategy]:
         """Lazily walk every declared strategy of the space (legal or
         not -- legality is only known after :meth:`realize`).  Charges
         the pure walk to ``metrics.enumeration`` and counts
         ``stats.declared``."""
-        if self.space is None:
-            raise TuningError(
-                f"pipeline for {self.compute.name!r} has no schedule space"
-            )
-        it = self.space.strategies()
+        it = self._space().strategies()
         sentinel = object()
         while True:
             t0 = time.perf_counter()
@@ -155,12 +161,29 @@ class CandidatePipeline:
             self.metrics.enumeration.add(dt)
             yield strategy  # type: ignore[misc]
 
-    def bound_for(self, strategy: ScheduleStrategy) -> StrategyBound:
-        """Admissible pre-lowering cost bound (charges ``metrics.bounds``)."""
+    def bound_space(self) -> np.ndarray:
+        """Admissible pre-lowering cost bound of every declared
+        strategy, in enumeration order (see
+        :func:`~repro.engine.bounds.space_bounds`).  Declares the whole
+        space (``stats.declared``, ``metrics.enumeration.count``) and
+        charges the computation to ``metrics.bounds``; the strategies
+        themselves are built on demand by :meth:`strategy_at`."""
+        space = self._space()
         t0 = time.perf_counter()
-        bound = strategy_bound(self.compute, strategy, self.config)
-        self.metrics.bounds.add(time.perf_counter() - t0)
-        return bound
+        cycles = space_bounds(self.compute, space, self.config)
+        self.metrics.bounds.add(time.perf_counter() - t0, count=len(cycles))
+        self.stats.declared += len(cycles)
+        self.metrics.enumeration.add(0.0, count=len(cycles))
+        return cycles
+
+    def strategy_at(self, index: int) -> ScheduleStrategy:
+        """The ``index``-th declared strategy (enumeration order),
+        charging its construction to ``metrics.enumeration``."""
+        space = self._space()
+        t0 = time.perf_counter()
+        strategy = space.strategy_at(index)
+        self.metrics.enumeration.add(time.perf_counter() - t0, count=0)
+        return strategy
 
     def realize(
         self, strategy: ScheduleStrategy, *, prefilter: bool = False

@@ -1,20 +1,23 @@
 """Branch-and-bound candidate search.
 
 The profile of a full-space tuning run is dominated by per-candidate
-IR work: at a 512^3 GEMM's 8192-strategy space, the walk costs ~0.01 s
-and bound computation ~0.1 s, while lowering + optimizing + predicting
-cost >11 s.  Every candidate whose *admissible* pre-IR bound
+IR work: at a 512^3 GEMM's 8192-strategy space, bounding the whole
+space costs ~0.02 s, while lowering + optimizing + predicting cost
+>11 s.  Every candidate whose *admissible* pre-IR bound
 (:mod:`repro.engine.bounds`) already exceeds the k-th best score found
 so far can skip all three stages without changing the outcome: the
 bound never exceeds the true score, so a pruned candidate can neither
 win nor enter the top-K.
 
-The driver is best-bound-first: all strategies are bounded up front
-(cheap), sorted by bound, and processed in fixed-size batches from the
-most promising end.  That finds a near-optimal incumbent in the first
-batch, and because bounds are sorted, the first bound above the
-incumbent threshold proves *every* remaining strategy prunable -- the
-search stops in one step instead of trickling through the tail.
+The driver is best-bound-first: the whole space is bounded up front
+(the bound terms are computed once per skeleton and per kernel variant
+and broadcast over the decision product), stably sorted by bound, and
+processed in fixed-size batches from the most promising end; only the
+strategies a batch takes are ever built.  That finds a near-optimal
+incumbent in the first batch, and because bounds are sorted, the first
+bound above the incumbent threshold proves *every* remaining strategy
+prunable -- the search stops in one step instead of trickling through
+the tail.
 
 Determinism guarantees (tested in ``tests/engine/test_search.py``):
 
@@ -52,6 +55,8 @@ from __future__ import annotations
 import heapq
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
+
+import numpy as np
 
 from ..scheduler.enumerate import Candidate
 from .bounds import BOUND_SAFETY
@@ -131,7 +136,7 @@ def _restore(
     state: SearchCheckpoint,
     pipeline: CandidatePipeline,
     evaluator: Evaluator,
-    strategies,
+    size: int,
 ) -> Optional[List[Tuple[int, Candidate, Evaluation]]]:
     """Re-materialize the scored candidates of a checkpoint.
 
@@ -146,9 +151,9 @@ def _restore(
     if config is None:
         config = getattr(getattr(evaluator, "inner", None), "config", None)
     for idx, raw in state.scored:
-        if not 0 <= idx < len(strategies):
+        if not 0 <= idx < size:
             return None
-        candidate = pipeline.realize(strategies[idx], prefilter=True)
+        candidate = pipeline.realize(pipeline.strategy_at(idx), prefilter=True)
         if candidate is None:
             return None
         scored.append(
@@ -191,9 +196,10 @@ def search_candidates(
     if not do_prune or limit is not None:
         return _exhaustive(pipeline, evaluator, workers, limit)
 
-    strategies = list(pipeline.strategies())
-    bounds = [pipeline.bound_for(s) for s in strategies]
-    order = sorted(range(len(strategies)), key=lambda i: (bounds[i].cycles, i))
+    space_bound = pipeline.bound_space()
+    # a stable sort keeps enumeration order among equal bounds
+    order = np.argsort(space_bound, kind="stable").tolist()
+    bounds = space_bound.tolist()
 
     metrics = pipeline.metrics
     keep = max(1, int(top_k))
@@ -201,7 +207,7 @@ def search_candidates(
 
     digest = search_digest(
         compute_signature(pipeline.compute),
-        len(strategies),
+        len(order),
         keep,
         batch,
         evaluator,
@@ -220,7 +226,7 @@ def search_candidates(
     if ckpt_path is not None and do_resume:
         state = SearchCheckpoint.load(ckpt_path, expect_space=digest)
         if state is not None:
-            restored = _restore(state, pipeline, evaluator, strategies)
+            restored = _restore(state, pipeline, evaluator, len(order))
             if restored is None:
                 metrics.record_event(
                     "checkpoint-reject",
@@ -262,7 +268,7 @@ def search_candidates(
         ).save(ckpt_path)
 
     while pos < len(order):
-        if bounds[order[pos]].cycles * BOUND_SAFETY > threshold:
+        if bounds[order[pos]] * BOUND_SAFETY > threshold:
             # bounds are sorted: everything from here on is prunable.
             tail = len(order) - pos
             metrics.bound_pruned += tail
@@ -276,7 +282,7 @@ def search_candidates(
         cut = pos + 1
         while (
             cut < end
-            and bounds[order[cut]].cycles * BOUND_SAFETY <= threshold
+            and bounds[order[cut]] * BOUND_SAFETY <= threshold
         ):
             cut += 1
         take = order[pos:cut]
@@ -285,7 +291,9 @@ def search_candidates(
         spm_before = metrics.spm_pruned
         realized: List[Tuple[int, Candidate]] = []
         for idx in take:
-            candidate = pipeline.realize(strategies[idx], prefilter=True)
+            candidate = pipeline.realize(
+                pipeline.strategy_at(idx), prefilter=True
+            )
             if candidate is not None:
                 realized.append((idx, candidate))
         metrics.record_prune_batch(

@@ -66,11 +66,6 @@ def vmad(acc: str, a: str, b: str) -> Instr:
     return Instr.make("vmad", acc, a, b, acc)
 
 
-def addr_update(ptr: str) -> Instr:
-    """Pointer bump (scalar integer op, issues on either pipe)."""
-    return Instr.make("iop", ptr, ptr)
-
-
 def loop_control(counter: str) -> List[Instr]:
     """Decrement-and-branch pair closing a loop."""
     return [Instr.make("iop", counter, counter), Instr.make("iop", None, counter)]

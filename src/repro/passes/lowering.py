@@ -30,16 +30,17 @@ from ..errors import IllegalCandidateError, LoweringError, SpmCapacityError
 from ..ir.nodes import KernelNode
 from ..machine.spm import SpmAllocator, SpmBuffer
 from ..optimizer.memplan import per_cpe_bytes
-from ..primitives.microkernel import COL_MAJOR, KernelVariant
+from ..primitives.microkernel import KernelVariant
 from ..primitives.registry import default_registry
 from ..scheduler.lower import (
     LoweringOptions,
     _KernelBuilder,
     _check_kernel_axes,
     _check_order_legality,
-    _loop_order,
     _tensor_layouts,
     _tile_sizes,
+    kernel_variant,
+    loop_order,
 )
 from .base import SPM_PLANNED, Pass, PassContext
 
@@ -66,14 +67,11 @@ class DecodeStrategyPass(Pass):
         assert gemm is not None  # validate() guarantees
 
         tiles = _tile_sizes(compute, strategy)
-        order = _loop_order(compute, strategy)
+        order = loop_order(compute, strategy)
         _check_order_legality(compute, order)
         _check_kernel_axes(compute, tiles)
 
-        vec_dim = str(strategy.get("vec_dim", "M"))
-        a_layout = str(strategy.get("spm_layout:a", COL_MAJOR))
-        b_layout = str(strategy.get("spm_layout:b", COL_MAJOR))
-        variant = KernelVariant(a_layout, b_layout, vec_dim)
+        variant = kernel_variant(strategy)
         layouts = _tensor_layouts(compute, strategy)
 
         m_tile = tiles[gemm.m_axis]

@@ -133,7 +133,7 @@ def reference_lower_strategy(
     assert gemm is not None  # validate() guarantees
 
     tiles = _tile_sizes(compute, strategy)
-    order = _loop_order(compute, strategy)
+    order = loop_order(compute, strategy)
     _check_order_legality(compute, order)
     _check_kernel_axes(compute, tiles)
 
@@ -175,11 +175,20 @@ def reference_lower_strategy(
 # ---------------------------------------------------------------------------
 # strategy decoding & legality
 # ---------------------------------------------------------------------------
+def tile_decision(compute: ComputeDef, strategy: ScheduleStrategy, axis: str) -> int:
+    """The tile size a strategy selects for ``axis``: its ``tile:<axis>``
+    decision, or the extent (no split) when it has none.  Unchecked
+    against the extent; a non-integer decision raises ``TypeError`` or
+    ``ValueError``.  Shared by the decode-strategy pass and the pre-IR
+    bounds (:mod:`repro.engine.bounds`), so the two cannot drift."""
+    tile = strategy.get(f"tile:{axis}")
+    return compute.axes[axis].extent if tile is None else int(tile)  # type: ignore[arg-type]
+
+
 def _tile_sizes(compute: ComputeDef, strategy: ScheduleStrategy) -> Dict[str, int]:
     tiles: Dict[str, int] = {}
     for name, axis in compute.axes.items():
-        tile = strategy.get(f"tile:{name}")
-        tiles[name] = axis.extent if tile is None else int(tile)  # type: ignore[arg-type]
+        tiles[name] = tile_decision(compute, strategy, name)
         if not (1 <= tiles[name] <= axis.extent):
             raise IllegalCandidateError(
                 f"tile {tiles[name]} outside [1, {axis.extent}] for axis {name!r}"
@@ -187,7 +196,11 @@ def _tile_sizes(compute: ComputeDef, strategy: ScheduleStrategy) -> Dict[str, in
     return tiles
 
 
-def _loop_order(compute: ComputeDef, strategy: ScheduleStrategy) -> Tuple[str, ...]:
+def loop_order(compute: ComputeDef, strategy: ScheduleStrategy) -> Tuple[str, ...]:
+    """The loop order a strategy selects: its ``order`` decision, or
+    every spatial axis before every reduction axis when it has none.
+    Raises :class:`IllegalCandidateError` unless the order is a
+    permutation of the axes."""
     order = strategy.get("order")
     if order is None:
         spatial = [a for a in compute.axes if compute.axes[a].kind != REDUCTION]
@@ -197,6 +210,17 @@ def _loop_order(compute: ComputeDef, strategy: ScheduleStrategy) -> Tuple[str, .
     if set(order) != set(compute.axes):
         raise IllegalCandidateError(f"order {order} is not a permutation of the axes")
     return order
+
+
+def kernel_variant(strategy: ScheduleStrategy) -> KernelVariant:
+    """The micro-kernel variant a strategy's ``vec_dim`` and
+    ``spm_layout:*`` decisions select (column-major operands and
+    M-vectorization by default)."""
+    return KernelVariant(
+        str(strategy.get("spm_layout:a", COL_MAJOR)),
+        str(strategy.get("spm_layout:b", COL_MAJOR)),
+        str(strategy.get("vec_dim", "M")),
+    )
 
 
 def _check_order_legality(compute: ComputeDef, order: Sequence[str]) -> None:

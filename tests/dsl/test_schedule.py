@@ -98,6 +98,28 @@ class TestEnumeration:
         combos = {(s.tile("M"), s["vec_dim"]) for s in strategies}
         assert combos == {(32, "M"), (32, "N"), (64, "M"), (64, "N")}
 
+    @pytest.mark.parametrize("reorder", [True, False])
+    def test_strategy_at_matches_enumeration(self, reorder):
+        sp = ScheduleSpace(gemm_def())
+        sp.split("M", [16, 32, 64])
+        sp.split("N", [32])  # single-candidate decisions
+        sp.split("K", [8, 16])
+        if reorder:
+            sp.reorder([("M", "N", "K"), ("N", "M", "K")])
+        sp.vectorize(["N"])
+        sp.spm_layout("a")
+        strategies = list(sp.strategies())
+        assert len(strategies) == sp.size()
+        assert [sp.strategy_at(i) for i in range(sp.size())] == strategies
+        for bad in (-1, sp.size()):
+            with pytest.raises(IndexError):
+                sp.strategy_at(bad)
+
+    def test_strategy_at_of_empty_space(self):
+        sp = ScheduleSpace(gemm_def())
+        assert sp.size() == 1
+        assert sp.strategy_at(0) == next(sp.strategies())
+
     def test_strategy_defaults_and_overrides(self):
         sp = ScheduleSpace(gemm_def())
         sp.split("M", [32, 64])

@@ -8,6 +8,7 @@ score, never exceeds the measured score, and the SPM-infeasibility
 prefilter never rejects a strategy lowering would have accepted.
 """
 
+import numpy as np
 import pytest
 
 from repro.dsl import ScheduleSpace
@@ -18,10 +19,15 @@ from repro.engine import (
     CandidatePipeline,
     SimulatorEvaluator,
     definitely_infeasible,
+    space_bounds,
     strategy_bound,
 )
 from repro.engine.bounds import VACUOUS
 from repro.machine.config import default_config
+from repro.ops import conv_explicit, conv_implicit, conv_winograd
+from repro.ops import gemm as gemm_ops
+from repro.ops.conv_common import ConvParams
+from repro.ops.strided import decompose
 
 from ..scheduler.test_lower import gemm_cd
 
@@ -150,3 +156,77 @@ class TestSpmPrefilter:
             {"tile:M": 32, "tile:N": 32, "tile:K": 32}
         )
         assert not definitely_infeasible(cd, strategy)
+
+
+def _conv_space(module, params):
+    return lambda: (module.make_compute(params), module.make_space(params))
+
+
+def _strided_phase_space():
+    params = ConvParams(batch=4, ni=16, no=32, ri=12, ci=12, kr=3, kc=3,
+                        pad=1, stride=2)
+    phase = decompose(params)[0].params
+    return conv_implicit.make_compute(phase), conv_implicit.make_space(phase)
+
+
+def _undecodable_space():
+    # a tile decision declared through the escape hatch, half of whose
+    # candidates the decoder cannot read
+    cd = gemm_cd(128, 128, 128)
+    sp = ScheduleSpace(cd)
+    sp.split("N", [32, 128])
+    sp.split("K", [16, 64])
+    sp.choice("tile:M", (64, "not-a-tile"))
+    sp.vectorize()
+    return cd, sp
+
+
+WHOLE_SPACES = {
+    "gemm-512": lambda: (lambda cd: (cd, gemm_ops.make_space(cd)))(
+        gemm_ops.make_compute(512, 512, 512)
+    ),
+    "implicit": _conv_space(
+        conv_implicit, ConvParams(batch=8, ni=32, no=64, ri=10, ci=10, pad=1)
+    ),
+    "winograd": _conv_space(
+        conv_winograd, ConvParams(batch=2, ni=64, no=128, ri=34, ci=34, pad=1)
+    ),
+    "explicit": _conv_space(
+        conv_explicit, ConvParams(batch=2, ni=16, no=32, ri=10, ci=10)
+    ),
+    "strided-phase": _strided_phase_space,
+    "undecodable": _undecodable_space,
+}
+
+
+class TestSpaceBounds:
+    """The whole-space bound is the per-strategy bound, value for value,
+    and its stable argsort is the search's (bound, index) order."""
+
+    @pytest.mark.parametrize("kind", sorted(WHOLE_SPACES))
+    def test_equals_strategy_bound_on_every_strategy(self, kind):
+        cd, sp = WHOLE_SPACES[kind]()
+        per_strategy = [strategy_bound(cd, s).cycles for s in sp.strategies()]
+        bounds = space_bounds(cd, sp)
+        assert bounds.dtype == np.float64
+        assert bounds.tolist() == per_strategy
+        if kind == "undecodable":
+            assert 0 < int((bounds == 0.0).sum()) < len(bounds)
+
+        order = np.argsort(bounds, kind="stable").tolist()
+        assert order == sorted(
+            range(len(per_strategy)), key=lambda i: (per_strategy[i], i)
+        )
+
+    def test_equals_strategy_bound_under_modified_machine(self):
+        cfg = default_config().with_overrides(
+            dma_latency_cycles=3300,
+            dram_peak_bw=17.0e9,
+            latencies={**default_config().latencies, "vmad": 9},
+        )
+        cd = gemm_ops.make_compute(256, 384, 128)
+        sp = gemm_ops.make_space(cd)
+        assert space_bounds(cd, sp, cfg).tolist() == [
+            strategy_bound(cd, s, cfg).cycles for s in sp.strategies()
+        ]
+        assert space_bounds(cd, sp, cfg).tolist() != space_bounds(cd, sp).tolist()

@@ -5,6 +5,9 @@ returns.  Winner and top-K must be bit-identical to the exhaustive
 walk, at any worker count, for any machine config.
 """
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.autotuner import tune_with_model
@@ -16,10 +19,16 @@ from repro.engine import (
     resolve_prune,
     search_candidates,
     set_default_prune,
+    strategy_bound,
 )
+from repro.engine import pipeline as pipeline_module
 from repro.machine.config import default_config
+from repro.ops import conv_implicit
+from repro.ops import gemm as gemm_ops
+from repro.ops.conv_common import ConvParams
 
 from ..scheduler.test_lower import gemm_cd
+from .test_checkpoint import InterruptingEvaluator
 
 
 def make_pipeline(m, n, k, splits, config=None):
@@ -193,3 +202,69 @@ class TestGlobalDefault:
             assert pipe.metrics.bound_pruned == 0
         finally:
             set_default_prune(before)
+
+
+def per_strategy_bounds(compute, space, config):
+    """The space bound as the search computed it before whole-space
+    bounding: one :func:`strategy_bound` per enumerated strategy."""
+    return np.array(
+        [strategy_bound(compute, s, config).cycles for s in space.strategies()]
+    )
+
+
+ORACLE_CONV = ConvParams(batch=8, ni=64, no=128, ri=6, ci=6, pad=1)
+ORACLE_SPACES = {
+    "gemm": lambda: (lambda cd: (cd, gemm_ops.make_space(cd)))(
+        gemm_ops.make_compute(128, 128, 640)
+    ),
+    "implicit": lambda: (
+        conv_implicit.make_compute(ORACLE_CONV),
+        conv_implicit.make_space(ORACLE_CONV, quick=True),
+    ),
+}
+
+
+def oracle_run(kind, monkeypatch=None, evaluator=None, **kw):
+    """One search over ``ORACLE_SPACES[kind]``; with ``monkeypatch`` the
+    pipeline bounds the space strategy by strategy."""
+    cd, sp = ORACLE_SPACES[kind]()
+    pipe = CandidatePipeline(cd, sp)
+    if monkeypatch is not None:
+        monkeypatch.setattr(pipeline_module, "space_bounds", per_strategy_bounds)
+    pairs = search_candidates(
+        pipe, evaluator or AnalyticEvaluator(config=pipe.config),
+        prune=True, **kw,
+    )
+    m = pipe.metrics
+    return (
+        [(tuple(sorted(c.strategy.decisions.items())), e.cycles)
+         for c, e in pairs],
+        m.bound_pruned, m.spm_pruned, m.prune_batches, len(pairs),
+    )
+
+
+class TestSpaceBoundOracle:
+    """Searching by index over the whole-space bound takes exactly the
+    strategies, counters and results the per-strategy path takes."""
+
+    @pytest.mark.parametrize("kind", sorted(ORACLE_SPACES))
+    @pytest.mark.parametrize("top_k", [1, 3])
+    def test_same_search_as_per_strategy_bounds(self, kind, top_k, monkeypatch):
+        new = oracle_run(kind, top_k=top_k)
+        old = oracle_run(kind, monkeypatch, top_k=top_k)
+        assert new == old
+        assert new[1] > 0  # the bound really pruned
+
+    def test_resume_from_mid_search_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(KeyboardInterrupt):
+            oracle_run(
+                "implicit", batch_size=16, checkpoint=path,
+                evaluator=InterruptingEvaluator(budget=20),
+            )
+        banked = len(json.loads(path.read_text())["scored"])
+        resumed = oracle_run(
+            "implicit", batch_size=16, checkpoint=path, resume=True
+        )
+        assert 0 < banked < resumed[-1]  # it stopped mid-search
+        assert oracle_run("implicit", monkeypatch, batch_size=16) == resumed
