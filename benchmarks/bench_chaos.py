@@ -1,11 +1,12 @@
 """Chaos smoke: fault-injected tuning must match the fault-free run.
 
 Not a paper table -- the resilience gate of the reproduction: with a
-seeded :class:`repro.faults.FaultPlan` injecting worker crashes and
-eval-cache corruption, a model-tuner GEMM sweep (supervised parallel
+seeded :class:`repro.faults.FaultPlan` injecting evaluation crashes and
+eval-cache corruption, a model-tuner GEMM sweep (supervised in-process
 evaluation, persistent eval cache) must complete and return the same
 winner as the fault-free run, with every recovery decision accounted
-for in the engine metrics.  Results, including the resilience counters,
+for in the engine metrics.  The gate also fails when no injected fault
+fired, since such a run proves nothing.  Results, including the resilience counters,
 go to ``BENCH_chaos.json``.
 
 Run standalone (the CI chaos-smoke job does)::
@@ -36,10 +37,10 @@ from repro.primitives.microkernel import clear_schedule_memo
 FULL_SHAPES = [(512, 512, 512), (256, 384, 128)]
 QUICK_SHAPES = [(128, 128, 128), (96, 256, 64)]
 
-#: the injected failure mix: a 2% worker-crash rate exercises pool
-#: teardown/rebuild and isolation redispatch, a 25% flush-corruption
-#: rate exercises torn-write recovery of the eval cache.  Transient by
-#: construction (retries re-draw), so the winner must not move.
+#: the injected failure mix: a 2% crash rate exercises per-candidate
+#: retry, a 25% flush-corruption rate exercises torn-write recovery of
+#: the eval cache.  Transient by construction (retries re-draw), so the
+#: winner must not move.
 CHAOS_PLAN = FaultPlan(seed=7, crash=0.02, corrupt=0.25)
 
 
@@ -49,7 +50,7 @@ def _cold_caches():
     clear_schedule_memo()
 
 
-def run_sweep(shapes, *, quick_space: bool, workers: int) -> dict:
+def run_sweep(shapes, *, quick_space: bool) -> dict:
     default_coeffs()  # calibration is shared state, warm it outside timing
     rows = []
     total_clean = total_chaos = 0.0
@@ -68,11 +69,7 @@ def run_sweep(shapes, *, quick_space: bool, workers: int) -> dict:
                 t0 = time.perf_counter()
                 try:
                     results[mode] = tune_with_model(
-                        compute,
-                        space,
-                        run_best=True,
-                        prune=True,
-                        workers=workers,
+                        compute, space, run_best=True, prune=True
                     )
                 finally:
                     set_fault_plan(None)
@@ -93,7 +90,6 @@ def run_sweep(shapes, *, quick_space: bool, workers: int) -> dict:
                     "wall_chaos_s": round(walls["chaos"], 3),
                     "retries": metrics.retries,
                     "quarantined": metrics.quarantined,
-                    "degraded_batches": metrics.degraded_batches,
                     "events": metrics.event_counts(),
                     "winner_identical": (
                         clean.best.candidate.strategy.decisions
@@ -109,7 +105,6 @@ def run_sweep(shapes, *, quick_space: bool, workers: int) -> dict:
         "bench": "chaos",
         "mode": "quick" if quick_space else "full",
         "plan": CHAOS_PLAN.describe(),
-        "workers": workers,
         "shapes": [r["shape"] for r in rows],
         "rows": rows,
         "total_wall_clean_s": round(total_clean, 3),
@@ -129,14 +124,6 @@ def main(argv=None) -> int:
         help="tiny shapes + quick spaces (the CI chaos-smoke gate)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker processes for the supervised pool (default: 2, "
-             "so injected crashes really break a pool)",
-    )
-    parser.add_argument(
         "--out",
         default="BENCH_chaos.json",
         metavar="PATH",
@@ -145,7 +132,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     shapes = QUICK_SHAPES if args.quick else FULL_SHAPES
-    result = run_sweep(shapes, quick_space=args.quick, workers=args.workers)
+    result = run_sweep(shapes, quick_space=args.quick)
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
 
     for row in result["rows"]:
@@ -170,6 +157,9 @@ def main(argv=None) -> int:
     if not result["all_cycles_identical"]:
         print("FAIL: chaos run returned different cycles", file=sys.stderr)
         return 1
+    if result["total_retries"] == 0:
+        print("FAIL: no injected fault fired", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -179,7 +169,7 @@ def test_chaos_winner_identical(benchmark, scale, show):
     quick = scale.name != "full"
     shapes = QUICK_SHAPES if quick else FULL_SHAPES
     result = benchmark.pedantic(
-        lambda: run_sweep(shapes, quick_space=quick, workers=2),
+        lambda: run_sweep(shapes, quick_space=quick),
         rounds=1,
         iterations=1,
     )
@@ -197,6 +187,7 @@ def test_chaos_winner_identical(benchmark, scale, show):
     show("\n".join(lines))
     assert result["all_winners_identical"]
     assert result["all_cycles_identical"]
+    assert result["total_retries"] > 0  # the plan really fired
     assert result["total_quarantined"] == 0  # the mix is transient-only
 
 

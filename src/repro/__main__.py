@@ -65,14 +65,6 @@ def main(argv=None) -> int:
         help="evaluation scale (default: $REPRO_SCALE or 'default')",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evaluate tuning candidates on N worker processes "
-             "(default: serial; every tuner in the run inherits this)",
-    )
-    parser.add_argument(
         "--no-prune",
         action="store_true",
         help="disable branch-and-bound candidate pruning (the escape "
@@ -147,10 +139,6 @@ def main(argv=None) -> int:
              "pipeline runs are dumped to keep sweeps readable",
     )
     args = parser.parse_args(argv)
-    if args.workers is not None:
-        from .engine import set_default_workers
-
-        set_default_workers(args.workers)
     if args.no_prune:
         from .engine import set_default_prune
 

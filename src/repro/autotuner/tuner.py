@@ -17,8 +17,8 @@ that ranks the candidates:
 Candidate preparation, search and evaluation route through
 :mod:`repro.engine`: the :class:`~repro.engine.CandidatePipeline` owns
 the enumerate -> optimize loop, evaluators own prediction/execution,
-and ``evaluate_batch`` fans the work out over ``workers`` processes
-with order-stable, bit-identical results.
+and ``evaluate_batch`` scores each batch in-process under retry and
+quarantine supervision, with order-stable results.
 """
 
 from __future__ import annotations
@@ -64,6 +64,14 @@ def _memo_salt(options: Optional[LoweringOptions], prefetch: bool):
     return (opts, bool(prefetch))
 
 
+def _check_workers(workers: int) -> None:
+    if workers != 1:
+        raise ValueError(
+            f"workers={workers!r}: candidate evaluation runs in-process, "
+            f"so only workers=1 is accepted"
+        )
+
+
 def _tune(
     compute: ComputeDef,
     space: ScheduleSpace,
@@ -78,7 +86,6 @@ def _tune(
     keep_scores: bool,
     top_k: int = 1,
     limit: Optional[int] = None,
-    workers: Optional[int],
     memoize: bool,
     prune: Optional[bool],
     checkpoint: Union[None, str, Path],
@@ -122,7 +129,6 @@ def _tune(
         pipeline,
         ranker,
         top_k=max(1, top_k),
-        workers=workers,
         prune=prune,
         limit=limit,
         checkpoint=checkpoint,
@@ -150,7 +156,7 @@ def _tune(
         for c, e in usable
     ]
     # a stable sort keeps the first of equals -- the enumeration-order
-    # tie-break, so results are stable across worker counts.
+    # tie-break, so results are stable with and without pruning.
     ranked = sorted(scores, key=lambda s: s.cycles)
 
     pool = ranked
@@ -159,7 +165,6 @@ def _tune(
         measured = evaluate_batch(
             [s.candidate for s in finalists],
             simulator,
-            workers=workers,
             metrics=pipeline.metrics,
         )
         if all(evaluation.failed for evaluation in measured):
@@ -227,7 +232,7 @@ def tune_blackbox(
     feeds: Optional[Dict[str, np.ndarray]] = None,
     keep_scores: bool = False,
     limit: Optional[int] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     memoize: bool = False,
     prune: bool = False,
     checkpoint: Union[None, str, Path] = None,
@@ -238,8 +243,8 @@ def tune_blackbox(
 
     ``limit`` caps the number of executed candidates (used by smoke
     benches; the paper's black-box numbers use the full space).
-    ``workers`` parallelizes execution (``None`` inherits the
-    process-wide default, see ``repro.engine.set_default_workers``).
+    ``workers`` must be 1: evaluation always runs in-process, and the
+    keyword stays only for existing callers.
 
     ``memoize`` and ``prune`` default *off*, and ``prune`` deliberately
     ignores the process-wide pruning default: this tuner exists to
@@ -253,6 +258,7 @@ def tune_blackbox(
     in :func:`tune_with_model` (the exhaustive path is a single batch
     with nothing to resume).
     """
+    _check_workers(workers)
     return _tune(
         compute,
         space,
@@ -264,7 +270,6 @@ def tune_blackbox(
         feeds=feeds,
         keep_scores=keep_scores,
         limit=limit,
-        workers=workers,
         memoize=memoize,
         prune=bool(prune),
         checkpoint=checkpoint,
@@ -285,7 +290,7 @@ def tune_with_model(
     feeds: Optional[Dict[str, np.ndarray]] = None,
     keep_scores: bool = False,
     top_k: int = 1,
-    workers: Optional[int] = None,
+    workers: int = 1,
     memoize: bool = True,
     prune: Optional[bool] = None,
     checkpoint: Union[None, str, Path] = None,
@@ -297,8 +302,7 @@ def tune_with_model(
     ``top_k > 1`` re-measures the k best predictions and keeps the
     fastest -- the paper's "pick best (or top k)" refinement;
     ``run_best=False`` executes nothing and returns the predicted best.
-    ``workers`` parallelizes evaluation (``None`` inherits the
-    process-wide default, see ``repro.engine.set_default_workers``);
+    ``workers`` must be 1, as for :func:`tune_blackbox`;
     ``memoize`` reuses measured runs of strategies already executed
     anywhere in this process.  ``prune`` enables branch-and-bound
     pruning (``None`` inherits the process-wide default, see
@@ -324,6 +328,7 @@ def tune_with_model(
     fault-free space validation never changes the winner -- it is a
     check, not a perturbation.
     """
+    _check_workers(workers)
     return _tune(
         compute,
         space,
@@ -336,7 +341,6 @@ def tune_with_model(
         feeds=feeds,
         keep_scores=keep_scores,
         top_k=top_k,
-        workers=workers,
         memoize=memoize,
         prune=prune,
         checkpoint=checkpoint,

@@ -1,10 +1,10 @@
 """The candidate-evaluation engine.
 
 Single owner of candidate preparation (enumerate -> optimize -> lower)
-and evaluation (cost model or simulated execution, optionally memoized
-and fanned out over worker processes).  Both autotuners, the operator
-runners and the runtime library route through this package; see
-DESIGN.md Sec. 2 ("Evaluation engine").
+and evaluation (cost model or simulated execution, optionally
+memoized).  Both autotuners, the operator runners and the runtime
+library route through this package; see DESIGN.md Sec. 2 ("Evaluation
+engine").
 
 The branch-and-bound layer (:mod:`~repro.engine.bounds` +
 :mod:`~repro.engine.search`) sits between the two halves: strategies
@@ -12,9 +12,9 @@ are given an admissible pre-IR cost bound and only the ones that could
 still beat the incumbent are lowered and scored; the rest are pruned
 without ever existing as IR.
 
-Evaluation is supervised (:mod:`~repro.engine.parallel`): worker
-failures are retried, bisected to the failing candidate and quarantined
-as :class:`FailedEvaluation` records instead of aborting the sweep, and
+Evaluation is supervised (:mod:`~repro.engine.parallel`): failing
+candidates are retried and then quarantined as
+:class:`FailedEvaluation` records instead of aborting the sweep, and
 the branch-and-bound driver checkpoints its state at batch boundaries
 (:mod:`~repro.engine.checkpoint`) so an interrupted sweep resumes to a
 bit-identical result.  See DESIGN.md "Failure model & recovery".
@@ -56,16 +56,7 @@ from .evaluators import (
     synthetic_feeds,
 )
 from .metrics import EngineEvent, EngineMetrics, PruneBatch, StageStats
-from .parallel import (
-    SupervisionPolicy,
-    default_workers,
-    evaluate_batch,
-    reset_degradation_warnings,
-    resolve_policy,
-    resolve_workers,
-    set_default_policy,
-    set_default_workers,
-)
+from .parallel import evaluate_batch
 from .pipeline import CandidatePipeline, clip_strategy, compile_strategy
 from .search import (
     default_prune,
@@ -104,7 +95,6 @@ __all__ = [
     "SimulatorEvaluator",
     "StageStats",
     "StrategyBound",
-    "SupervisionPolicy",
     "VALIDATE_MODES",
     "ValidatingEvaluator",
     "ValidationReport",
@@ -119,24 +109,18 @@ __all__ = [
     "default_eval_store",
     "default_prune",
     "default_validate",
-    "default_workers",
     "definitely_infeasible",
     "evaluate_batch",
     "quarantine_corrupt",
     "recover_truncated_json",
     "reference_outputs",
-    "reset_degradation_warnings",
-    "resolve_policy",
     "resolve_prune",
     "resolve_validate",
-    "resolve_workers",
     "search_candidates",
     "search_digest",
     "set_default_checkpoint",
-    "set_default_policy",
     "set_default_prune",
     "set_default_validate",
-    "set_default_workers",
     "set_eval_cache",
     "shared_memo_size",
     "space_bounds",

@@ -221,9 +221,7 @@ class SimulatorEvaluator(Evaluator):
     reports agree.
 
     ``feeds=None`` generates deterministic synthetic inputs per compute.
-    ``executions`` counts real simulated runs on *this* instance (in
-    parallel batches the counting happens in worker processes, so use
-    the batch metrics there instead).
+    ``executions`` counts real simulated runs on *this* instance.
     """
 
     kind = "simulator"

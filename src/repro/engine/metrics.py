@@ -48,9 +48,9 @@ class PruneBatch:
 
 @dataclass
 class EngineEvent:
-    """One explicit resilience event (degradation, retry, bisection,
-    quarantine, checkpoint restore, cache quarantine) -- the audit
-    trail that replaces silent fallback."""
+    """One explicit resilience event (retry, quarantine, checkpoint
+    restore, cache quarantine) -- the audit trail that replaces silent
+    fallback."""
 
     kind: str
     detail: str
@@ -83,9 +83,7 @@ class EngineMetrics:
     optimization down per named IR pass.
 
     The resilience counters account for the supervised evaluation
-    path: ``degraded_batches`` counts batches that fell back from
-    parallel to serial dispatch (pool creation / pickling failure),
-    ``retries`` counts re-dispatched chunks or candidates, and
+    path: ``retries`` counts re-evaluated candidates, and
     ``quarantined`` counts candidates that exhausted their retries and
     were reported as
     :class:`~repro.engine.evaluators.FailedEvaluation` instead of
@@ -106,8 +104,6 @@ class EngineMetrics:
     ukernel_memo_hits: int = 0
     bound_pruned: int = 0
     spm_pruned: int = 0
-    workers: int = 1
-    degraded_batches: int = 0
     retries: int = 0
     quarantined: int = 0
     events_dropped: int = 0
@@ -156,8 +152,6 @@ class EngineMetrics:
         self.ukernel_memo_hits += other.ukernel_memo_hits
         self.bound_pruned += other.bound_pruned
         self.spm_pruned += other.spm_pruned
-        self.workers = max(self.workers, other.workers)
-        self.degraded_batches += other.degraded_batches
         self.retries += other.retries
         self.quarantined += other.quarantined
         self.prune_batches.extend(other.prune_batches)
@@ -203,10 +197,6 @@ class EngineMetrics:
             parts.append(f"memo {self.memo_hits}")
         if self.ukernel_memo_hits:
             parts.append(f"ukernel-memo {self.ukernel_memo_hits}")
-        if self.workers > 1:
-            parts.append(f"workers {self.workers}")
-        if self.degraded_batches:
-            parts.append(f"degraded {self.degraded_batches}")
         if self.retries:
             parts.append(f"retries {self.retries}")
         if self.quarantined:

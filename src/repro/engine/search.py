@@ -23,9 +23,9 @@ Determinism guarantees (tested in ``tests/engine/test_search.py``):
 
 * results are returned in enumeration order, so the caller's stable
   sort breaks score ties exactly as the exhaustive walk does;
-* the batch size is a constant (not derived from the worker count), so
-  the set of evaluated candidates -- and therefore every counter and
-  the winner -- is identical at any ``--workers`` setting;
+* the batch size is a constant (not derived from the host), so the
+  set of evaluated candidates -- and therefore every counter and the
+  winner -- is identical on every machine;
 * the pruning threshold is strict (``bound * BOUND_SAFETY >
   threshold``), so candidates tying the k-th best score are always
   evaluated and the returned top-K matches the exhaustive one
@@ -45,7 +45,7 @@ Resilience (see DESIGN.md "Failure model & recovery"):
   (``tests/engine/test_checkpoint.py``).
 
 ``set_default_prune`` is the process-wide knob behind the CLI's
-``--no-prune`` escape hatch, mirroring ``set_default_workers``.  With
+``--no-prune`` escape hatch.  With
 pruning off the search degrades to exactly the pre-bound behaviour:
 realize every candidate in enumeration order, score them in one batch.
 """
@@ -78,7 +78,7 @@ __all__ = [
 ]
 
 #: strategies realized + scored per branch-and-bound step.  A constant
-#: on purpose: deriving it from the worker count would make the set of
+#: on purpose: deriving it from the host would make the set of
 #: evaluated candidates depend on the machine the search runs on.
 PRUNE_BATCH = 64
 
@@ -102,16 +102,13 @@ def resolve_prune(prune: Optional[bool]) -> bool:
 def _exhaustive(
     pipeline: CandidatePipeline,
     evaluator: Evaluator,
-    workers: Optional[int],
     limit: Optional[int],
 ) -> List[Tuple[Candidate, Evaluation]]:
     """The prune-off path: realize everything, score in one batch."""
     cands = list(pipeline.candidates(limit=limit))
     if not cands:
         return []
-    evals = evaluate_batch(
-        cands, evaluator, workers=workers, metrics=pipeline.metrics
-    )
+    evals = evaluate_batch(cands, evaluator, metrics=pipeline.metrics)
     return list(zip(cands, evals))
 
 
@@ -167,7 +164,6 @@ def search_candidates(
     evaluator: Evaluator,
     *,
     top_k: int = 1,
-    workers: Optional[int] = None,
     prune: Optional[bool] = None,
     batch_size: Optional[int] = None,
     limit: Optional[int] = None,
@@ -194,7 +190,7 @@ def search_candidates(
     """
     do_prune = resolve_prune(prune)
     if not do_prune or limit is not None:
-        return _exhaustive(pipeline, evaluator, workers, limit)
+        return _exhaustive(pipeline, evaluator, limit)
 
     space_bound = pipeline.bound_space()
     # a stable sort keeps enumeration order among equal bounds
@@ -306,10 +302,7 @@ def search_candidates(
             continue
 
         evals = evaluate_batch(
-            [c for _, c in realized],
-            evaluator,
-            workers=workers,
-            metrics=metrics,
+            [c for _, c in realized], evaluator, metrics=metrics
         )
         for (idx, candidate), evaluation in zip(realized, evals):
             scored.append((idx, candidate, evaluation))

@@ -1,32 +1,29 @@
 """Deterministic fault injection for chaos-testing the tuning engine.
 
-Long autotuning sweeps die on rare failures -- a worker process that
+Long autotuning sweeps die on rare failures -- an evaluation that
 crashes mid-candidate, an evaluator that raises on one poisoned
 strategy, a hang, a cache file truncated by a killed process.  Those
 events are hard to reproduce organically, so this module manufactures
 them *deterministically*: a seeded :class:`FaultPlan` decides, per
 (site, key, attempt), whether a fault fires, by hashing the decision
 coordinates with the seed.  The same plan therefore injects the same
-faults in every run, in every process, at any worker count -- which is
-what lets the tests assert that the supervised engine recovers to
-bit-identical results.
+faults in every run and in every process -- which is what lets the
+tests assert that the supervised engine recovers to bit-identical
+results.
 
 Sites:
 
 ``crash``
-    The evaluator raises :class:`InjectedCrash`.  Inside a worker
-    process the chunk runner converts it into a hard ``os._exit`` (the
-    parent sees :class:`~concurrent.futures.process.BrokenProcessPool`,
-    exactly like a real segfaulting worker); in the serial path the
-    supervisor handles the exception directly under the same policy.
+    The evaluator raises :class:`InjectedCrash`, standing in for an
+    evaluation that dies mid-candidate; the supervisor retries and, if
+    it persists, quarantines the candidate like any other failure.
 ``exception``
     The evaluator raises :class:`InjectedEvaluatorError` -- an ordinary
     in-band evaluation failure.
 ``hang``
     The evaluator raises :class:`InjectedHang`, which supervision
-    classifies exactly like a wall-clock chunk timeout.  This is a
-    *virtual-clock* hang: tests exercise the timeout recovery path
-    without ever sleeping.
+    classifies as a hang.  This is a *virtual-clock* hang: tests
+    exercise the hang recovery path without ever sleeping.
 ``corrupt``
     :meth:`~repro.engine.evalcache.PersistentEvalStore.flush` truncates
     the freshly written store file, simulating a torn write.
@@ -36,7 +33,7 @@ construction: a retry re-draws at the next attempt number, so at rate
 ``r`` a candidate fails twice in a row with probability ``r**2``.  A
 ``poison`` prefix, by contrast, is *persistent*: every candidate whose
 digest starts with the prefix always raises, on every attempt -- the
-supervised engine must bisect it out of its chunk and quarantine it.
+supervised engine must quarantine exactly that candidate.
 
 Everything is a no-op until :func:`set_fault_plan` installs a plan
 (the CLI's ``--inject-faults SPEC`` does this); production code pays
@@ -76,8 +73,7 @@ class InjectedFault(ReproError):
 
 
 class InjectedCrash(InjectedFault):
-    """Stands in for a hard worker death (converted to ``os._exit`` in
-    worker processes)."""
+    """Stands in for an evaluation that dies mid-candidate."""
 
 
 class InjectedEvaluatorError(InjectedFault):
@@ -85,7 +81,7 @@ class InjectedEvaluatorError(InjectedFault):
 
 
 class InjectedHang(InjectedFault):
-    """A virtual-clock hang: supervision treats it as a chunk timeout
+    """A virtual-clock hang: supervision classifies it as a hang
     without any wall-clock wait."""
 
 
@@ -244,10 +240,10 @@ def maybe_corrupt_outputs(compute, outputs) -> bool:
     return True
 
 
-#: attempt number of the evaluation currently running in *this*
-#: process.  The supervisor (parent: per-candidate retry loop; worker:
-#: chunk runner) sets it before dispatching, so fault draws can be
-#: keyed per attempt -- that is what makes injected faults transient.
+#: attempt number of the evaluation currently running.  The
+#: supervisor's per-candidate retry loop sets it before each attempt,
+#: so fault draws can be keyed per attempt -- that is what makes
+#: injected faults transient.
 _CURRENT_ATTEMPT = 0
 
 
@@ -285,11 +281,9 @@ class FaultyEvaluator:
     """Evaluator wrapper that consults a :class:`FaultPlan` before
     delegating to the real evaluator.
 
-    Built by ``evaluate_batch`` when a plan is active; ships to worker
-    processes like any evaluator (the plan is a small frozen
-    dataclass).  Fault decisions are keyed by the candidate's digest
-    and the current attempt number, so they are identical in serial and
-    parallel runs of the same plan.
+    Built by ``evaluate_batch`` when a plan is active.  Fault decisions
+    are keyed by the candidate's digest and the current attempt
+    number, so they are identical in every run of the same plan.
     """
 
     def __init__(self, inner, plan: FaultPlan) -> None:
@@ -309,7 +303,7 @@ class FaultyEvaluator:
             )
         if self.plan.should_fire("crash", digest, attempt):
             raise InjectedCrash(
-                f"injected worker crash at candidate {digest[:12]} "
+                f"injected crash at candidate {digest[:12]} "
                 f"attempt {attempt}"
             )
         if self.plan.should_fire("hang", digest, attempt):

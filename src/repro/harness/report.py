@@ -80,14 +80,13 @@ def resilience_note(
     metrics: Optional[EngineMetrics], label: str = "resilience"
 ) -> Optional[str]:
     """One table-note line of the supervised-evaluation audit trail:
-    degraded batches, retries, quarantines and the per-kind event
-    counts.  ``None`` when the run saw no resilience events at all, so
-    fault-free tables stay byte-identical."""
+    retries, quarantines and the per-kind event counts.  ``None`` when
+    the run saw no resilience events at all, so fault-free tables stay
+    byte-identical."""
     if metrics is None:
         return None
     if not (
-        metrics.degraded_batches
-        or metrics.retries
+        metrics.retries
         or metrics.quarantined
         or metrics.events
         or metrics.events_dropped

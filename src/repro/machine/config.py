@@ -187,7 +187,7 @@ def config_signature(config: MachineConfig) -> tuple:
     is frozen and its tables are only ever replaced wholesale (through
     :meth:`MachineConfig.with_overrides`, which makes a new instance),
     so the stored signature cannot go stale.  It travels with the
-    instance through pickling, as worker processes receive configs.
+    instance through pickling.
     """
     cached = config.__dict__.get("_signature")
     if cached is not None:

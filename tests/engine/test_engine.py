@@ -160,44 +160,20 @@ class TestMemoization:
             assert b.report is not None
 
 
-class TestParallelBatch:
-    def test_parallel_matches_serial_bit_for_bit(self):
-        cd, sp = small_space()
-        cands = list(CandidatePipeline(cd, sp).candidates())
-        assert len(cands) > 1
-        serial = evaluate_batch(cands, SimulatorEvaluator(), workers=1)
-        parallel = evaluate_batch(cands, SimulatorEvaluator(), workers=2)
-        assert len(serial) == len(parallel) == len(cands)
-        assert [e.measured_cycles for e in serial] == [
-            e.measured_cycles for e in parallel
-        ]
-
+class TestBatch:
     def test_results_are_order_stable(self):
         cd, sp = small_space()
         cands = list(CandidatePipeline(cd, sp).candidates())
         sim = SimulatorEvaluator()
-        batch = evaluate_batch(cands, sim, workers=2, chunk_size=1)
+        batch = evaluate_batch(cands, sim)
         for cand, ev in zip(cands, batch):
             assert ev.measured_cycles == sim.evaluate(cand).measured_cycles
 
-    def test_default_chunking_is_order_stable_at_any_width(self):
-        """The default chunk size is len/workers; whatever the split,
-        results[i] must belong to candidates[i]."""
-        cd, sp = small_space()
-        cands = list(CandidatePipeline(cd, sp).candidates())
-        reference = [
-            SimulatorEvaluator().evaluate(c).measured_cycles for c in cands
-        ]
-        for workers in (2, 3, len(cands)):
-            batch = evaluate_batch(cands, SimulatorEvaluator(), workers=workers)
-            assert [e.measured_cycles for e in batch] == reference
-
-    def test_metrics_record_workers_and_counts(self):
+    def test_metrics_record_execution_counts(self):
         cd, sp = small_space()
         cands = list(CandidatePipeline(cd, sp).candidates())
         metrics = EngineMetrics()
-        evaluate_batch(cands, SimulatorEvaluator(), workers=2, metrics=metrics)
-        assert metrics.workers == 2
+        evaluate_batch(cands, SimulatorEvaluator(), metrics=metrics)
         assert metrics.execution.count == len(cands)
         assert metrics.execution.seconds > 0
 

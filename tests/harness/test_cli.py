@@ -60,14 +60,3 @@ class TestTables:
             assert "build-loop-nest" not in err
         finally:
             set_dump_ir(None)
-
-    def test_workers_flag_sets_process_default(self, capsys):
-        from repro.engine import default_workers, set_default_workers
-
-        before = default_workers()
-        try:
-            rc = cli.main(["fig10", "--scale", "smoke", "--workers", "2"])
-            assert rc == 0
-            assert default_workers() == 2
-        finally:
-            set_default_workers(before)

@@ -3,8 +3,7 @@
 Caches whose values depend on instruction timing key on
 ``config_signature``; storing the tuple on the frozen config must not
 change what it says: equal to a fresh build, distinct for configs that
-differ only in their latency tables, and intact across pickling (worker
-processes receive configs).
+differ only in their latency tables, and intact across pickling.
 """
 
 import pickle
