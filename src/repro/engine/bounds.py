@@ -9,12 +9,20 @@ pruned and the search would no longer return bit-identical results to
 the exhaustive walk.  Two bounds are combined (see DESIGN.md, "Bound
 admissibility"):
 
-* **DMA traffic bound** -- Eq. (1) with every waste term zeroed: each
-  tensor is moved at most once per execution of its innermost
-  materialized indexing loop (assuming maximal hoisting, which the
-  hoist-dma pass approaches but never beats), each transfer pays the
-  fixed descriptor overheads once, and all bytes stream at the peak
-  DRAM bandwidth with no transaction padding.
+* **DMA bound** -- each tensor is moved at most once per execution of
+  its innermost materialized indexing loop (assuming maximal hoisting,
+  which the hoist-dma pass approaches but never beats).  Every such
+  transfer pays at least the cheapest Eq. (1) cost among the tensor's
+  full and boundary tile shapes: descriptor issue and transaction-
+  rounded bytes follow from the tile lengths and the tensor's layout
+  (:func:`~repro.optimizer.dma_inference.geometry_of` on the permuted
+  storage shape) at the cheapest element-aligned start, through the
+  cost model's own :func:`~repro.autotuner.cost_model.min_transfer_cycles`,
+  so it stays below both the predicted and the simulated transfer.
+  A zero-waste charge -- fixed overheads once per transfer, every byte
+  at peak bandwidth -- is admissible too and sometimes larger (it
+  counts the full tiles' bytes, where the transfer charge takes the
+  smallest boundary tile); the DMA bound is the larger of the two.
 * **Compute bound** -- the kernel's FLOPs retired at the throughput of
   the strategy's *own* kernel variant (the vec_dim/spm_layout decisions
   fully determine it before lowering), with zero init/drain/loop/call
@@ -28,10 +36,12 @@ A pipelined kernel can at best fully overlap the two, so the bound is
 their ``max()`` -- never their sum.  Any strategy the decoder cannot
 interpret gets the vacuous bound 0.0, which never prunes.
 
-The search bounds whole spaces at once (:func:`space_bounds`): the DMA
-term depends only on a strategy's skeleton (tiles and loop order) and
-the compute term only on its kernel variant, so each is computed once
-per distinct value and broadcast over the space's decision product.
+The search bounds whole spaces at once (:func:`space_bounds`): the
+transfer counts and the zero-waste charge depend only on a strategy's
+skeleton (tiles and loop order), each tensor's cheapest transfer only
+on the tiles of its own axes and its ``layout:`` decision, and the
+compute term only on the kernel variant, so each is computed once per
+distinct value and broadcast over the space's decision product.
 :func:`strategy_bound` is the same arithmetic for one strategy.
 
 The same pre-IR decode also yields :func:`definitely_infeasible`: a
@@ -47,14 +57,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..dsl.compute import ComputeDef, ShiftedDim
 from ..dsl.schedule import ScheduleSpace, ScheduleStrategy
 from ..errors import IllegalCandidateError
+from ..ir.expr import AffineExpr
+from ..ir.nodes import DmaGeometry, TileAccess
 from ..machine.config import MachineConfig, default_config
+from ..optimizer.dma_inference import geometry_of
 from ..primitives.microkernel import (
     BLOCK_SCALARS,
     BLOCK_VECS,
@@ -102,10 +115,10 @@ class StrategyBound:
 VACUOUS = StrategyBound(0.0, 0.0, 0, 0.0)
 
 
-def _decode(
-    compute: ComputeDef, strategy: ScheduleStrategy
-) -> Optional[Tuple[Dict[str, int], Tuple[str, ...]]]:
-    """Tiles and loop order as the decode-strategy pass reads them.
+def _tiles(
+    compute: ComputeDef, strategy: ScheduleStrategy, axes
+) -> Optional[Dict[str, int]]:
+    """Tiles of ``axes`` as the decode-strategy pass reads them.
 
     Tiles are clipped into [1, extent] (an out-of-range tile would make
     the candidate illegal anyway); ``None`` means the strategy carries
@@ -113,10 +126,26 @@ def _decode(
     the vacuous bound.
     """
     try:
-        tiles = {
-            name: max(1, min(tile_decision(compute, strategy, name), axis.extent))
-            for name, axis in compute.axes.items()
+        return {
+            name: max(
+                1,
+                min(tile_decision(compute, strategy, name), compute.axes[name].extent),
+            )
+            for name in axes
         }
+    except (TypeError, ValueError, IllegalCandidateError):
+        return None
+
+
+def _decode(
+    compute: ComputeDef, strategy: ScheduleStrategy
+) -> Optional[Tuple[Dict[str, int], Tuple[str, ...]]]:
+    """Tiles and loop order as the decode-strategy pass reads them;
+    ``None`` when either is undecodable."""
+    tiles = _tiles(compute, strategy, compute.axes)
+    if tiles is None:
+        return None
+    try:
         order = loop_order(compute, strategy)
     except (TypeError, ValueError, IllegalCandidateError):
         return None
@@ -168,9 +197,38 @@ def _compute_cycles(
     )
 
 
+def _dim_lengths(dim, tiles: Dict[str, int], compute: ComputeDef) -> Tuple[int, ...]:
+    """Every length a tile of a tensor dimension takes: the full tile
+    and the peeled boundary remainder of its axis (a shifted dim spans
+    its spatial and kernel lengths, as the lowering's accesses do)."""
+
+    def lengths(axis: str) -> Tuple[int, ...]:
+        tail = compute.axes[axis].extent % tiles[axis]
+        return (tiles[axis], tail) if tail else (tiles[axis],)
+
+    if isinstance(dim, ShiftedDim):
+        return tuple(
+            sorted(
+                {s + k - 1 for s in lengths(dim.spatial) for k in lengths(dim.kernel)}
+            )
+        )
+    return lengths(dim)
+
+
+_ZERO = AffineExpr(0)
+
+
+@dataclass(frozen=True)
+class _Tensor:
+    name: str
+    dims: tuple
+    #: loop axes whose value selects the tensor's tile
+    indexing: Tuple[str, ...]
+    shape: Tuple[int, ...]
+
+
 class _DmaTerm:
-    """The DMA bound of one compute on one machine; reads only a
-    strategy's tile and order decisions.
+    """The DMA bound of one compute on one machine.
 
     For every tensor, the innermost *materialized* loop (trip count
     > 1) that indexes it determines how often its tile must be
@@ -178,55 +236,133 @@ class _DmaTerm:
     its total traffic (the tile is re-loaded although the data did not
     change -- even a perfect hoist cannot avoid that).  Un-tiled axes
     produce no loop and therefore no re-transfers, matching what the
-    hoist pass achieves on the real IR.
+    hoist pass achieves on the real IR.  :meth:`counts` reads only the
+    skeleton (tile and order decisions).
+
+    Two admissible charges follow from those counts, and the bound
+    takes the larger: :meth:`traffic` streams every byte at peak
+    bandwidth and pays each transfer's fixed overheads once; the
+    transfer charge multiplies each tensor's count by its
+    :meth:`cheapest` transfer, which reads only the tiles of the
+    tensor's own axes and its ``layout:`` decision.  The cheapest
+    transfer of each tile shape is memoized for the life of the term.
     """
 
     def __init__(self, compute: ComputeDef, cfg: MachineConfig) -> None:
+        # deferred import: repro.autotuner's package init imports the
+        # tuners, which import this package
+        from ..autotuner.cost_model import min_transfer_cycles
+
+        self._min_transfer_cycles = min_transfer_cycles
         self.compute = compute
         self.cfg = cfg
         self.tensors = [
-            (_indexing_axes(spec), math.prod(compute.tensor_shape(name)))
+            _Tensor(
+                name,
+                spec.dims,
+                tuple(a for a in compute.axes if a in _indexing_axes(spec)),
+                compute.tensor_shape(name),
+            )
             for name, spec in compute.tensors.items()
         ]
+        self._by_shape: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], float] = {}
+        self._by_geometry: Dict[DmaGeometry, float] = {}
 
-    def __call__(
+    def counts(
         self, strategy: ScheduleStrategy
-    ) -> Optional[Tuple[float, int, float]]:
-        """``(cycles, transfers, bytes)``; ``None`` when the tile and
-        order decisions are undecodable."""
+    ) -> Optional[List[Tuple[int, int]]]:
+        """``(transfers, replication)`` of every tensor under maximal
+        hoisting; ``None`` when the skeleton is undecodable."""
         decoded = _decode(self.compute, strategy)
         if decoded is None:
             return None
         tiles, order = decoded
-        cfg = self.cfg
-
         trips = {
             name: -(-axis.extent // tiles[name])
             for name, axis in self.compute.axes.items()
         }
         loops = [a for a in order if trips[a] > 1]
-
-        transfers = 0
-        total_bytes = 0.0
-        for indexing, tensor_elems in self.tensors:
+        out = []
+        for tensor in self.tensors:
             last = -1
             for i, axis in enumerate(loops):
-                if axis in indexing:
+                if axis in tensor.indexing:
                     last = i
             execs = 1
             replication = 1
             for axis in loops[: last + 1]:
                 execs *= trips[axis]
-                if axis not in indexing:
+                if axis not in tensor.indexing:
                     replication *= trips[axis]
-            transfers += execs
-            total_bytes += tensor_elems * cfg.dtype_bytes * replication
+            out.append((execs, replication))
+        return out
 
-        dma_cycles = (
+    def traffic(
+        self, counts: List[Tuple[int, int]]
+    ) -> Tuple[float, int, float]:
+        """The zero-waste charge ``(cycles, transfers, bytes)``: fixed
+        overheads once per transfer, every byte at peak bandwidth."""
+        cfg = self.cfg
+        transfers = 0
+        total_bytes = 0.0
+        for tensor, (execs, replication) in zip(self.tensors, counts):
+            transfers += execs
+            total_bytes += math.prod(tensor.shape) * cfg.dtype_bytes * replication
+        cycles = (
             transfers * (cfg.dma_latency_cycles + cfg.dma_issue_cycles)
             + total_bytes / cfg.dram_bytes_per_cycle
         )
-        return dma_cycles, transfers, total_bytes
+        return cycles, transfers, total_bytes
+
+    def cheapest(self, index: int, strategy: ScheduleStrategy) -> float:
+        """The cheapest Eq. (1) transfer of tensor ``index`` over its
+        full and boundary tile shapes and every start alignment, on the
+        layout-permuted storage shape; nan when its tiles or layout are
+        undecodable."""
+        tensor = self.tensors[index]
+        tiles = _tiles(self.compute, strategy, tensor.indexing)
+        perm = _layout(strategy, tensor)
+        if tiles is None or perm is None:
+            return math.nan
+        lengths = [_dim_lengths(dim, tiles, self.compute) for dim in tensor.dims]
+        storage = tuple(tensor.shape[i] for i in perm)
+        return min(
+            self._floor(tensor.name, storage, shape)
+            for shape in itertools.product(*(lengths[i] for i in perm))
+        )
+
+    def _floor(
+        self, name: str, storage: Tuple[int, ...], shape: Tuple[int, ...]
+    ) -> float:
+        """The cheapest transfer of one tile shape, memoized by shape
+        and by geometry (distinct shapes can share one)."""
+        floor = self._by_shape.get((storage, shape))
+        if floor is None:
+            access = TileAccess(name, tuple((_ZERO, n) for n in shape))
+            geo = geometry_of(access, storage, self.cfg)
+            floor = self._by_geometry.get(geo)
+            if floor is None:
+                floor = self._by_geometry[geo] = self._min_transfer_cycles(
+                    geo, self.cfg
+                )
+            self._by_shape[(storage, shape)] = floor
+        return floor
+
+
+def _layout(
+    strategy: ScheduleStrategy, tensor: _Tensor
+) -> Optional[Tuple[int, ...]]:
+    """The tensor's ``layout:`` permutation as the lowering reads it
+    (identity without a decision); ``None`` unless it is one."""
+    perm = strategy.get(f"layout:{tensor.name}")
+    rank = len(tensor.dims)
+    if perm is None:
+        return tuple(range(rank))
+    try:
+        perm = tuple(int(i) for i in perm)  # type: ignore[union-attr]
+    except (TypeError, ValueError):
+        return None
+    return perm if sorted(perm) == list(range(rank)) else None
 
 
 def strategy_bound(
@@ -236,12 +372,19 @@ def strategy_bound(
 ) -> StrategyBound:
     """Admissible cost lower bound for one strategy of ``compute``."""
     cfg = config or default_config()
-    dma = _DmaTerm(compute, cfg)(strategy)
-    if dma is None:
+    term = _DmaTerm(compute, cfg)
+    counts = term.counts(strategy)
+    if counts is None:
         return VACUOUS
-    dma_cycles, transfers, total_bytes = dma
+    flat_cycles, transfers, total_bytes = term.traffic(counts)
+    charged = 0.0
+    for index, (execs, _) in enumerate(counts):
+        cheapest = term.cheapest(index, strategy)
+        if math.isnan(cheapest):
+            return VACUOUS
+        charged = charged + execs * cheapest
     return StrategyBound(
-        dma_cycles=dma_cycles,
+        dma_cycles=max(charged, flat_cycles),
         compute_cycles=_compute_cycles(compute, strategy, cfg),
         transfers=transfers,
         dma_bytes=total_bytes,
@@ -260,13 +403,16 @@ def space_bounds(
     """``strategy_bound(...).cycles`` of every strategy of ``space``, as
     a float64 array in enumeration order.
 
-    The DMA term reads only the skeleton (tiles and loop order) and the
-    compute term only the kernel variant, so each is evaluated once per
-    distinct combination of the decisions it reads -- through the same
-    helpers as :func:`strategy_bound`, so every value is ``==`` -- and
-    laid out with size-1 axes for the decisions it ignores.  Their
-    ``max`` is broadcast over the space's decision product.  A skeleton
-    the decoder cannot read bounds all of its strategies by 0.0.
+    Each factor of the bound is evaluated once per distinct combination
+    of the decisions it reads -- the transfer counts and the zero-waste
+    charge per skeleton (tiles and loop order), each tensor's cheapest
+    transfer per tiling of its own axes and its layout, the compute
+    term per kernel variant -- through the same helpers as
+    :func:`strategy_bound`, and laid out with size-1 axes for the
+    decisions it ignores.  The tensors' transfer charges are
+    broadcast-summed in ``compute.tensors`` order and combined as in
+    :func:`strategy_bound`, so every value is ``==``.  A skeleton or
+    layout the decoder cannot read bounds its strategies by 0.0.
     """
     cfg = config or default_config()
     keys, pools = space.pools()
@@ -274,23 +420,41 @@ def space_bounds(
     position = {key: i for i, key in enumerate(keys)}
 
     def term(reads, fn) -> np.ndarray:
+        """``fn`` over the product of the pools of ``reads``, with
+        size-1 axes for the other decisions; a tuple-valued ``fn`` gets
+        one more, last axis."""
         axes = sorted({position[k] for k in reads if k in position})
-        values = [
-            fn(ScheduleStrategy({keys[i]: v for i, v in zip(axes, combo)}))
-            for combo in itertools.product(*(pools[i] for i in axes))
-        ]
+        values = np.array(
+            [
+                fn(ScheduleStrategy({keys[i]: v for i, v in zip(axes, combo)}))
+                for combo in itertools.product(*(pools[i] for i in axes))
+            ],
+            dtype=np.float64,
+        )
         shape = [len(pool) if i in axes else 1 for i, pool in enumerate(pools)]
-        return np.array(values, dtype=np.float64).reshape(shape)
+        return values.reshape(shape + list(values.shape[1:]))
 
     dma_term = _DmaTerm(compute, cfg)
 
-    def dma_cycles(skeleton: ScheduleStrategy) -> float:
-        dma = dma_term(skeleton)
-        return math.nan if dma is None else dma[0]
+    def skeleton_terms(skeleton: ScheduleStrategy) -> Tuple[float, ...]:
+        """The zero-waste charge, then every tensor's transfer count."""
+        counts = dma_term.counts(skeleton)
+        if counts is None:
+            return (math.nan,) * (1 + len(dma_term.tensors))
+        return (dma_term.traffic(counts)[0], *(execs for execs, _ in counts))
 
-    dma = term(
-        [f"tile:{name}" for name in compute.axes] + ["order"], dma_cycles
+    skeleton = term(
+        [f"tile:{name}" for name in compute.axes] + ["order"], skeleton_terms
     )
+    charged = 0.0
+    for index, tensor in enumerate(dma_term.tensors):
+        cheapest = term(
+            [f"tile:{axis}" for axis in tensor.indexing]
+            + [f"layout:{tensor.name}"],
+            lambda s, index=index: dma_term.cheapest(index, s),
+        )
+        charged = charged + skeleton[..., 1 + index] * cheapest
+    dma = np.maximum(charged, skeleton[..., 0])
     compute_cycles = term(
         _VARIANT_KEYS, lambda variant: _compute_cycles(compute, variant, cfg)
     )

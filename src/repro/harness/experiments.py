@@ -16,14 +16,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..autotuner import tune_blackbox, tune_with_model
+from ..engine.bounds import definitely_infeasible
 from ..engine.metrics import EngineMetrics
-from ..errors import WorkloadError
+from ..errors import IllegalCandidateError, WorkloadError
 from ..machine.config import MachineConfig, default_config
 from ..ops import conv_implicit
 from ..ops.conv_common import ConvParams
 from ..ops.gemm import make_compute as gemm_compute
 from ..ops.gemm import make_space as gemm_space
-from ..scheduler.lower import LoweringOptions
+from ..scheduler.lower import LoweringOptions, lower_strategy
 from ..workloads import (
     conv_layers,
     listing1_configs,
@@ -393,6 +394,9 @@ class TuningTimeRow:
     blackbox_silicon_seconds: float
     model_seconds: float
     model_metrics: Optional[EngineMetrics] = None
+    #: factor scaling the black-box arm's executed candidates to the
+    #: legal space (1.0 when the arm ran the whole space)
+    blackbox_scale: float = 1.0
 
     @property
     def speedup(self) -> float:
@@ -453,6 +457,26 @@ class TuningTimeResult:
         return t
 
 
+def legal_strategies(
+    compute, space, config: Optional[MachineConfig] = None
+) -> int:
+    """How many strategies of ``space`` lower to a legal kernel: the
+    work real brute force does.  Runs only the SPM floor and the
+    lowering passes, so the count does not depend on how a search
+    prunes."""
+    cfg = config or default_config()
+    legal = 0
+    for strategy in space.strategies():
+        if definitely_infeasible(compute, strategy, cfg):
+            continue
+        try:
+            lower_strategy(compute, strategy, config=cfg)
+        except IllegalCandidateError:
+            continue
+        legal += 1
+    return legal
+
+
 def tab3_tuning_time(
     scale: Optional[Scale] = None,
     networks: Tuple[str, ...] = ("vgg16", "resnet", "yolo"),
@@ -477,17 +501,13 @@ def tab3_tuning_time(
                 keep_scores=True,
             )
             mm = tune_with_model(compute, space, config=config, run_best=True)
-            # scale the measured black-box time to the full space when a
-            # candidate cap was applied (real brute force runs them all)
+            # scale the measured black-box time to the legal space when a
+            # candidate cap was applied (real brute force runs it all);
+            # counted outside both timed arms
             to_full_space = 1.0
             if scale.blackbox_limit is not None and bb.evaluated:
-                # the model tuner scored every legal candidate it did
-                # not prove prunable; legal = scored + bound-pruned
-                # (reduces to plain `evaluated` under --no-prune)
-                declared_legal = mm.evaluated + (
-                    mm.metrics.bound_pruned if mm.metrics is not None else 0
-                )
-                to_full_space = max(1.0, declared_legal / bb.evaluated)
+                legal = legal_strategies(compute, space, config)
+                to_full_space = max(1.0, legal / bb.evaluated)
             silicon = sum(s.report.seconds for s in bb.scores)
             rows.append(
                 TuningTimeRow(
@@ -497,6 +517,7 @@ def tab3_tuning_time(
                     blackbox_silicon_seconds=silicon * to_full_space,
                     model_seconds=mm.wall_seconds,
                     model_metrics=mm.metrics,
+                    blackbox_scale=to_full_space,
                 )
             )
     return TuningTimeResult(rows, scale)

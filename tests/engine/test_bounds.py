@@ -230,3 +230,86 @@ class TestSpaceBounds:
             strategy_bound(cd, s, cfg).cycles for s in sp.strategies()
         ]
         assert space_bounds(cd, sp, cfg).tolist() != space_bounds(cd, sp).tolist()
+
+
+#: one layer of the model-conv benchmark workload, quick space
+MODEL_CONV_LAYER = ConvParams(batch=16, ni=128, no=256, ri=4, ci=6, pad=1)
+
+CONV_SPACES = {
+    kind: WHOLE_SPACES[kind]
+    for kind in ("implicit", "winograd", "explicit", "strided-phase")
+}
+CONV_SPACES["model-conv"] = lambda: (
+    conv_implicit.make_compute(MODEL_CONV_LAYER),
+    conv_implicit.make_space(MODEL_CONV_LAYER, quick=True),
+)
+
+
+def zero_waste_dma(bound, cfg):
+    """The zero-waste DMA charge: fixed overheads once per transfer,
+    every byte at peak bandwidth."""
+    return (
+        bound.transfers * (cfg.dma_latency_cycles + cfg.dma_issue_cycles)
+        + bound.dma_bytes / cfg.dram_bytes_per_cycle
+    )
+
+
+class TestConvAdmissibility:
+    """The transfer charge reads layouts and boundary tiles, which GEMM
+    spaces barely exercise: check it over whole conv spaces."""
+
+    @pytest.mark.parametrize("kind", sorted(CONV_SPACES))
+    def test_bound_never_exceeds_predicted_score(self, kind):
+        cd, sp = CONV_SPACES[kind]()
+        pipe = CandidatePipeline(cd, sp)
+        analytic = AnalyticEvaluator(config=pipe.config)
+        bounds = space_bounds(cd, sp, pipe.config)
+        checked = 0
+        for index, strategy in enumerate(sp.strategies()):
+            cand = pipe.realize(strategy)
+            if cand is None:
+                continue
+            predicted = analytic.evaluate(cand).predicted_cycles
+            assert bounds[index] * BOUND_SAFETY <= predicted, (
+                f"inadmissible bound {bounds[index]} > {predicted} "
+                f"for {strategy.decisions}"
+            )
+            checked += 1
+        assert checked > 0
+
+    def test_bound_never_exceeds_simulated_cycles(self):
+        params = ConvParams(batch=4, ni=16, no=32, ri=6, ci=6, pad=1)
+        cd = conv_implicit.make_compute(params)
+        sp = conv_implicit.make_space(params)
+        pipe = CandidatePipeline(cd, sp)
+        sim = SimulatorEvaluator()
+        bounds = space_bounds(cd, sp, pipe.config)
+        checked = 0
+        # every 37th of 1536 strategies: all orders, layouts and
+        # vectorizations, varied tiles
+        for index in range(0, sp.size(), 37):
+            cand = pipe.realize(sp.strategy_at(index))
+            if cand is None:
+                continue
+            measured = sim.evaluate(cand).measured_cycles
+            assert bounds[index] * BOUND_SAFETY <= measured, (
+                f"bound {bounds[index]} > simulated {measured} "
+                f"for {cand.strategy.decisions}"
+            )
+            checked += 1
+        assert checked > 30
+
+    @pytest.mark.parametrize(
+        "kind", ["explicit", "gemm-512", "model-conv", "strided-phase", "winograd"]
+    )
+    def test_dma_term_at_least_zero_waste_term(self, kind):
+        cd, sp = {**WHOLE_SPACES, **CONV_SPACES}[kind]()
+        cfg = default_config()
+        tighter = 0
+        for strategy in sp.strategies():
+            bound = strategy_bound(cd, strategy, cfg)
+            flat = zero_waste_dma(bound, cfg)
+            assert bound.dma_cycles >= flat
+            tighter += bound.dma_cycles > flat
+        # the transfer charge is what tightens the bound
+        assert tighter > 0

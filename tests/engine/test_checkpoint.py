@@ -48,10 +48,11 @@ def make_pipeline():
 
 def run_search(pipeline, evaluator=None, **kw):
     evaluator = evaluator or AnalyticEvaluator(config=pipeline.config)
-    # batch_size=4 gives the space several branch-and-bound batches
-    # (i.e. several checkpoint writes) before the tail is pruned
+    # batch_size=1 gives the space several branch-and-bound batches
+    # (i.e. several checkpoint writes) before the tail is pruned: the
+    # search scores three strategies
     return search_candidates(
-        pipeline, evaluator, prune=True, batch_size=4, **kw
+        pipeline, evaluator, prune=True, batch_size=1, **kw
     )
 
 
@@ -110,7 +111,7 @@ class TestCheckpointFile:
 
         interrupted_pipe = make_pipeline()
         interrupting = InterruptingEvaluator(
-            budget=5, config=interrupted_pipe.config
+            budget=1, config=interrupted_pipe.config
         )
         with pytest.raises(KeyboardInterrupt):
             run_search(interrupted_pipe, interrupting, checkpoint=path)

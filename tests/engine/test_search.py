@@ -239,14 +239,16 @@ class TestSpaceBoundOracle:
 
     def test_resume_from_mid_search_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "ckpt.json"
+        # the search scores 18 strategies in batches of 8: the budget
+        # banks one batch and interrupts the next
         with pytest.raises(KeyboardInterrupt):
             oracle_run(
-                "implicit", batch_size=16, checkpoint=path,
-                evaluator=InterruptingEvaluator(budget=20),
+                "implicit", batch_size=8, checkpoint=path,
+                evaluator=InterruptingEvaluator(budget=10),
             )
         banked = len(json.loads(path.read_text())["scored"])
         resumed = oracle_run(
-            "implicit", batch_size=16, checkpoint=path, resume=True
+            "implicit", batch_size=8, checkpoint=path, resume=True
         )
         assert 0 < banked < resumed[-1]  # it stopped mid-search
-        assert oracle_run("implicit", monkeypatch, batch_size=16) == resumed
+        assert oracle_run("implicit", monkeypatch, batch_size=8) == resumed

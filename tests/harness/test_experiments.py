@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.autotuner import tune_with_model
+from repro.engine.search import default_prune, set_default_prune
 from repro.harness import experiments as E
+from repro.ops import ConvParams, conv_implicit
 from repro.harness.report import Table, speedup_summary
 from repro.harness.scales import SCALES, Scale, get_scale
 from repro.errors import WorkloadError
@@ -104,6 +107,28 @@ class TestDrivers:
         # the silicon column charges simulated kernel time, not host time
         assert all(r.blackbox_silicon_seconds > 0 for r in res.rows)
         assert "bb silicon" in res.table().render()
+
+    def test_tab3_blackbox_scale_ignores_pruning(self):
+        # the black-box arm is scaled to the legal space, which must not
+        # depend on how much the model arm's search prunes
+        scales = {}
+        before = default_prune()
+        try:
+            for prune in (True, False):
+                set_default_prune(prune)
+                res = E.tab3_tuning_time(scale=TINY, networks=("vgg16",))
+                scales[prune] = [r.blackbox_scale for r in res.rows]
+        finally:
+            set_default_prune(before)
+        assert scales[True] == scales[False]
+        assert all(s >= 1.0 for s in scales[True])
+
+    def test_legal_strategies_matches_exhaustive_tuning(self):
+        params = ConvParams(batch=4, ni=16, no=32, ri=6, ci=6, pad=1)
+        compute = conv_implicit.make_compute(params)
+        space = conv_implicit.make_space(params, quick=True)
+        exhaustive = tune_with_model(compute, space, prune=False, run_best=False)
+        assert E.legal_strategies(compute, space) == exhaustive.evaluated
 
     def test_fig9(self):
         res = E.fig9_model_accuracy(scale=TINY)
