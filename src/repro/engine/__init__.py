@@ -35,10 +35,7 @@ from .checkpoint import (
 )
 from .evalcache import (
     PersistentEvalStore,
-    atomic_write_json,
     default_eval_store,
-    quarantine_corrupt,
-    recover_truncated_json,
     set_eval_cache,
 )
 from .evaluators import (
@@ -98,7 +95,6 @@ __all__ = [
     "VALIDATE_MODES",
     "ValidatingEvaluator",
     "ValidationReport",
-    "atomic_write_json",
     "compare_tensors",
     "clear_feeds_cache",
     "clear_shared_memo",
@@ -111,8 +107,6 @@ __all__ = [
     "default_validate",
     "definitely_infeasible",
     "evaluate_batch",
-    "quarantine_corrupt",
-    "recover_truncated_json",
     "reference_outputs",
     "resolve_prune",
     "resolve_validate",

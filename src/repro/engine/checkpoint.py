@@ -12,11 +12,11 @@ and the bound-sorted order are all deterministic, the resumed run's
 final winner and top-K are bit-identical to an uninterrupted one
 (tested in ``tests/engine/test_checkpoint.py``).
 
-A checkpoint is only trusted when its ``version``, code ``salt`` and
-``space`` digest (compute signature + strategy count + search
-parameters + evaluator fingerprint) all match the running search; a
-mismatch starts fresh, and an unparseable file is quarantined to a
-``*.corrupt`` sidecar like every other persistence file.
+The sidecar is a salted :mod:`repro.persist` document.  On top of that
+policy a checkpoint is only trusted when its ``space`` digest (compute
+signature + strategy count + search parameters + evaluator
+fingerprint) matches the running search and its fields parse as a
+whole.
 
 ``set_default_checkpoint`` is the process-wide knob behind the CLI's
 ``--checkpoint DIR`` / ``--resume`` flags: experiment sweeps run many
@@ -29,19 +29,13 @@ instead.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from .evalcache import (
-    CODE_SALT,
-    atomic_write_json,
-    quarantine_corrupt,
-    report_from_dict,
-    report_to_dict,
-)
+from ..persist import code_salt, quarantine_corrupt, read_document, write_document
+from .evalcache import report_from_dict, report_to_dict
 from .evaluators import Evaluation, FailedEvaluation
 from .metrics import PruneBatch
 
@@ -84,40 +78,6 @@ def search_digest(
     return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
 
 
-def _eval_to_dict(evaluation: Evaluation) -> Dict:
-    if evaluation.failed:
-        assert isinstance(evaluation, FailedEvaluation)
-        return {
-            "failed": True,
-            "site": evaluation.site,
-            "error_type": evaluation.error_type,
-            "error_message": evaluation.error_message,
-            "error_chain": list(evaluation.error_chain),
-            "attempts": evaluation.attempts,
-        }
-    return {
-        "predicted": evaluation.predicted_cycles,
-        "measured": evaluation.measured_cycles,
-        "report": report_to_dict(evaluation.report),
-    }
-
-
-def _eval_from_dict(raw: Dict, config) -> Evaluation:
-    if raw.get("failed"):
-        return FailedEvaluation(
-            site=str(raw.get("site", "exception")),
-            error_type=str(raw.get("error_type", "")),
-            error_message=str(raw.get("error_message", "")),
-            error_chain=tuple(raw.get("error_chain", ())),
-            attempts=int(raw.get("attempts", 0)),
-        )
-    return Evaluation(
-        predicted_cycles=raw.get("predicted"),
-        measured_cycles=raw.get("measured"),
-        report=report_from_dict(raw.get("report"), config),
-    )
-
-
 @dataclass
 class SearchCheckpoint:
     """Resumable state of one branch-and-bound sweep.
@@ -143,10 +103,8 @@ class SearchCheckpoint:
     complete: bool = False
 
     # --- (de)serialization --------------------------------------------
-    def payload(self) -> Dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "salt": CODE_SALT,
+    def save(self, path: Union[str, Path]) -> None:
+        body = {
             "space": self.space,
             "pos": self.pos,
             "worst_k": list(self.worst_k),
@@ -162,9 +120,7 @@ class SearchCheckpoint:
             ],
             "complete": self.complete,
         }
-
-    def save(self, path: Union[str, Path]) -> None:
-        atomic_write_json(path, self.payload())
+        write_document(path, body, version=CHECKPOINT_VERSION, salt=code_salt())
 
     @classmethod
     def load(
@@ -172,32 +128,16 @@ class SearchCheckpoint:
     ) -> Optional["SearchCheckpoint"]:
         """Read a checkpoint; ``None`` when absent, stale or untrusted.
 
-        A file that fails to parse or validate is quarantined to a
-        ``*.corrupt`` sidecar; a version/salt/space mismatch is left in
-        place (it may belong to another code version or search) and
-        simply ignored.
+        Beyond :func:`repro.persist.read_document`'s policy, a ``space``
+        mismatch (another search) is left in place and ignored, while
+        fields that fail to parse or run past the cursor quarantine the
+        file.
         """
-        path = Path(path)
-        if not path.exists():
+        raw = read_document(path, version=CHECKPOINT_VERSION, salt=code_salt()).body
+        if raw is None:
             return None
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            quarantine_corrupt(path, f"unparseable checkpoint ({exc})")
-            return None
-        if not isinstance(raw, dict):
-            quarantine_corrupt(path, "checkpoint is not a JSON object")
-            return None
-        if (
-            raw.get("version") != CHECKPOINT_VERSION
-            or raw.get("salt") != CODE_SALT
-            or raw.get("space") != expect_space
-        ):
-            logger.warning(
-                "checkpoint %s does not match this search "
-                "(version/salt/space); starting fresh",
-                path,
-            )
+        if raw.get("space") != expect_space:
+            logger.warning("checkpoint %s belongs to another search; starting fresh", path)
             return None
         try:
             counters = raw.get("counters", {})
@@ -218,24 +158,48 @@ class SearchCheckpoint:
                 ],
                 complete=bool(raw.get("complete", False)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             quarantine_corrupt(path, f"malformed checkpoint fields ({exc})")
             return None
         if state.pos < 0 or len(state.scored) > max(state.pos, 0):
-            quarantine_corrupt(
-                path, "inconsistent checkpoint (scored beyond cursor)"
-            )
+            quarantine_corrupt(path, "inconsistent checkpoint (scored beyond cursor)")
             return None
         return state
 
     # --- evaluation payload helpers -----------------------------------
     @staticmethod
     def pack_eval(evaluation: Evaluation) -> Dict:
-        return _eval_to_dict(evaluation)
+        if evaluation.failed:
+            assert isinstance(evaluation, FailedEvaluation)
+            return {
+                "failed": True,
+                "site": evaluation.site,
+                "error_type": evaluation.error_type,
+                "error_message": evaluation.error_message,
+                "error_chain": list(evaluation.error_chain),
+                "attempts": evaluation.attempts,
+            }
+        return {
+            "predicted": evaluation.predicted_cycles,
+            "measured": evaluation.measured_cycles,
+            "report": report_to_dict(evaluation.report),
+        }
 
     @staticmethod
     def unpack_eval(raw: Dict, config) -> Evaluation:
-        return _eval_from_dict(raw, config)
+        if raw.get("failed"):
+            return FailedEvaluation(
+                site=str(raw.get("site", "exception")),
+                error_type=str(raw.get("error_type", "")),
+                error_message=str(raw.get("error_message", "")),
+                error_chain=tuple(raw.get("error_chain", ())),
+                attempts=int(raw.get("attempts", 0)),
+            )
+        return Evaluation(
+            predicted_cycles=raw.get("predicted"),
+            measured_cycles=raw.get("measured"),
+            report=report_from_dict(raw.get("report"), config),
+        )
 
 
 @dataclass(frozen=True)

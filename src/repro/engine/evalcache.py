@@ -20,21 +20,16 @@ Design points:
   with the *requesting* evaluator's machine config, which is sound
   because the key already pins ``config_signature``: only a
   signature-identical config can reach the entry.
-* A **code-version salt** is written into the file header; loading a
-  store whose salt differs from the running code discards it wholesale.
-  Bump :data:`CODE_SALT` whenever lowering, the optimizer pipeline or
-  the cost model change in a way that moves scores.
-* Writes are **atomic** (temp file + rename) and deferred: callers
-  flush at batch boundaries (``evaluate_batch`` does this), so a tuning
-  loop is never slowed by per-candidate disk traffic.
-* Loading is **corruption-safe**: a truncated file (a process killed
-  mid-write on a filesystem without atomic rename, a torn copy) gives
-  up only the *unparseable suffix* -- the valid prefix of entries is
-  recovered, still subject to the per-file version/salt check.  Each
-  surviving entry is validated individually; malformed entries are
-  skipped and counted.  An unrecoverable file is quarantined to a
-  ``*.corrupt`` sidecar with a logged reason so the evidence survives
-  for diagnosis instead of being overwritten on the next flush.
+* The file is a :mod:`repro.persist` document salted with
+  :func:`~repro.persist.code_salt` (a digest of the package source),
+  so a store written by other code is ignored wholesale.  Loading
+  follows that module's single corrupt/stale-file policy (a torn
+  write keeps its valid prefix of entries); on top of it each entry
+  is validated individually and malformed entries are skipped and
+  counted.
+* Writes are deferred: callers flush at batch boundaries
+  (``evaluate_batch`` does this), so a tuning loop is never slowed by
+  per-candidate disk traffic.
 
 ``set_eval_cache`` installs a process-wide default store (the CLI's
 ``--eval-cache PATH`` routes here); every :class:`MemoizingEvaluator`
@@ -44,26 +39,19 @@ without an explicit ``disk`` argument picks it up.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-import numbers
-import os
-import tempfile
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..machine.config import MachineConfig, default_config
 from ..machine.trace import SimReport
+from ..persist import code_salt, read_document, valid_number, write_document
 from .evaluators import Evaluation
 
 __all__ = [
-    "CODE_SALT",
     "EVAL_CACHE_VERSION",
     "PersistentEvalStore",
-    "atomic_write_json",
     "default_eval_store",
-    "quarantine_corrupt",
-    "recover_truncated_json",
     "set_eval_cache",
 ]
 
@@ -71,11 +59,6 @@ logger = logging.getLogger(__name__)
 
 #: bump on incompatible changes to the on-disk layout.
 EVAL_CACHE_VERSION = 2
-
-#: identity of the scoring code; a mismatch invalidates the whole
-#: store.  Bump when lowering / optimizer passes / cost model change
-#: the scores a key maps to.
-CODE_SALT = "swatop-pr3"
 
 #: the numeric SimReport fields persisted alongside the cycle counts
 #: (the ``config`` field is rebuilt from the requesting evaluator).
@@ -108,208 +91,24 @@ def report_from_dict(
     )
 
 
-# --- shared persistence helpers ---------------------------------------
-def atomic_write_json(path: Union[str, Path], payload: dict) -> None:
-    """Write JSON via temp-file-then-rename so readers never observe a
-    partial file (shared by the eval store, the kernel cache and the
-    search checkpoints)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def quarantine_corrupt(path: Union[str, Path], reason: str) -> Optional[Path]:
-    """Move an unreadable persistence file to a ``*.corrupt`` sidecar
-    and log why.  An existing sidecar is never clobbered -- repeated
-    corruption of the same path lands in ``*.corrupt.1``,
-    ``*.corrupt.2``, ... so every piece of post-mortem evidence
-    survives.  Returns the sidecar path, or ``None`` when the move
-    itself failed."""
-    path = Path(path)
-    sidecar = path.with_name(path.name + ".corrupt")
-    n = 0
-    while sidecar.exists():
-        n += 1
-        sidecar = path.with_name(f"{path.name}.corrupt.{n}")
-    try:
-        os.replace(path, sidecar)
-    except OSError as exc:
-        logger.warning(
-            "could not quarantine corrupt file %s (%s): %s", path, reason, exc
-        )
-        return None
-    logger.warning("quarantined corrupt file %s -> %s: %s", path, sidecar, reason)
-    return sidecar
-
-
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i] in " \t\r\n":
-        i += 1
-    return i
-
-
-def _skip_ws_comma(text: str, i: int) -> int:
-    i = _skip_ws(text, i)
-    if i < len(text) and text[i] == ",":
-        i = _skip_ws(text, i + 1)
-    return i
-
-
-def recover_truncated_json(text: str) -> Dict:
-    """Best-effort parse of a truncated single-object JSON document.
-
-    Walks the top-level object key by key with
-    :meth:`json.JSONDecoder.raw_decode`; for an ``"entries"`` object
-    every fully-parsed ``key: value`` pair is kept and parsing stops at
-    the first incomplete one.  Anything recovered before the
-    truncation point (including the ``version``/``salt`` header, which
-    the flush layout writes first) survives.
-    """
-    dec = json.JSONDecoder()
-    out: Dict = {}
-    try:
-        i = _skip_ws(text, 0)
-        if text[i] != "{":
-            return out
-        i += 1
-        while True:
-            i = _skip_ws_comma(text, i)
-            if text[i] == "}":
-                break
-            key, i = dec.raw_decode(text, i)
-            i = _skip_ws(text, i)
-            if text[i] != ":":
-                break
-            i = _skip_ws(text, i + 1)
-            if key == "entries" and i < len(text) and text[i] == "{":
-                entries: Dict = {}
-                out["entries"] = entries
-                i += 1
-                while True:
-                    i = _skip_ws_comma(text, i)
-                    if text[i] == "}":
-                        i += 1
-                        break
-                    ekey, i = dec.raw_decode(text, i)
-                    i = _skip_ws(text, i)
-                    if text[i] != ":":
-                        raise ValueError("truncated entry")
-                    i = _skip_ws(text, i + 1)
-                    value, i = dec.raw_decode(text, i)
-                    entries[ekey] = value
-            else:
-                value, i = dec.raw_decode(text, i)
-                out[key] = value
-            i = _skip_ws(text, i)
-            if i >= len(text):
-                break
-            if text[i] == "}":
-                break
-    except (ValueError, IndexError):
-        pass  # truncation point reached: keep what was fully parsed
-    return out
-
-
-def _valid_number(value) -> bool:
-    return value is None or (
-        isinstance(value, numbers.Real) and not isinstance(value, bool)
-    )
-
-
 class PersistentEvalStore:
     """A versioned JSON store of evaluation outcomes."""
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        *,
-        salt: str = CODE_SALT,
-    ) -> None:
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.salt = salt
         self.hits = 0
         self.misses = 0
-        #: corruption-recovery accounting of the initial load
-        self.recovered = False
-        self.invalid_entries = 0
-        self.quarantined_path: Optional[Path] = None
-        self._entries: Dict[
-            str, Tuple[Optional[float], Optional[float], Optional[dict]]
-        ] = {}
-        self._dirty = False
         self._flush_seq = 0
-        self._load()
-
-    # --- persistence ---------------------------------------------------
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        try:
-            text = self.path.read_text()
-        except OSError as exc:
-            logger.warning("eval cache %s unreadable: %s", self.path, exc)
-            return
-        try:
-            raw = json.loads(text)
-        except ValueError as exc:
-            raw = recover_truncated_json(text)
-            if not isinstance(raw.get("entries"), dict):
-                # nothing salvageable: keep the evidence, start empty
-                self.quarantined_path = quarantine_corrupt(
-                    self.path, f"unparseable JSON ({exc})"
-                )
-                self._dirty = True
-                return
-            self.recovered = True
-            logger.warning(
-                "eval cache %s is truncated (%s); recovered the valid "
-                "prefix of %d entries",
-                self.path,
-                exc,
-                len(raw["entries"]),
-            )
-        if not isinstance(raw, dict):
-            self.quarantined_path = quarantine_corrupt(
-                self.path, f"top-level JSON is {type(raw).__name__}, not object"
-            )
-            self._dirty = True
-            return
-        if (
-            raw.get("version") != EVAL_CACHE_VERSION
-            or raw.get("salt") != self.salt
-        ):
-            self._dirty = True  # stale store: rewrite on next flush
-            return
-        entries = raw.get("entries", {})
-        if not isinstance(entries, dict):
-            entries = {}
-        for digest, value in entries.items():
-            entry = self._validate_entry(digest, value)
-            if entry is None:
-                self.invalid_entries += 1
-                continue
-            self._entries[digest] = entry
-        if self.invalid_entries:
-            self._dirty = True  # rewrite without the bad entries
-            logger.warning(
-                "eval cache %s: skipped %d malformed entries",
-                self.path,
-                self.invalid_entries,
-            )
-        if self.recovered:
-            self._dirty = True  # persist the recovered prefix cleanly
+        doc = read_document(
+            self.path, version=EVAL_CACHE_VERSION, salt=code_salt()
+        )
+        self._entries = doc.parse_entries(self._validate_entry)
+        #: corruption-recovery accounting of the initial load
+        self.recovered = doc.recovered
+        self.skipped_entries = doc.skipped_entries
+        self.quarantined_path = doc.quarantined_path
+        # rewrite a recovered prefix or a store with bad entries cleanly
+        self._dirty = doc.recovered or doc.skipped_entries > 0
 
     @staticmethod
     def _validate_entry(digest, value):
@@ -319,7 +118,7 @@ class PersistentEvalStore:
         if not isinstance(value, (list, tuple)) or len(value) != 3:
             return None
         pred, meas, report = value
-        if not _valid_number(pred) or not _valid_number(meas):
+        if not valid_number(pred) or not valid_number(meas):
             return None
         if report is not None and not isinstance(report, dict):
             return None
@@ -329,12 +128,12 @@ class PersistentEvalStore:
         """Atomically write pending entries to disk (no-op when clean)."""
         if not self._dirty:
             return
-        payload = {
-            "version": EVAL_CACHE_VERSION,
-            "salt": self.salt,
-            "entries": {d: list(v) for d, v in self._entries.items()},
-        }
-        atomic_write_json(self.path, payload)
+        write_document(
+            self.path,
+            {"entries": {d: list(v) for d, v in self._entries.items()}},
+            version=EVAL_CACHE_VERSION,
+            salt=code_salt(),
+        )
         self._dirty = False
         self._inject_flush_faults()
         self._flush_seq += 1
@@ -421,8 +220,8 @@ class PersistentEvalStore:
         )
         if self.recovered:
             text += " [recovered from truncated file]"
-        if self.invalid_entries:
-            text += f" [{self.invalid_entries} malformed entries skipped]"
+        if self.skipped_entries:
+            text += f" [{self.skipped_entries} malformed entries skipped]"
         if self.quarantined_path is not None:
             text += f" [corrupt original at {self.quarantined_path}]"
         return text

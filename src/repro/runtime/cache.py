@@ -11,15 +11,14 @@ file and shipped like a pre-tuned kernel library.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from ..dsl.schedule import ScheduleStrategy
-from ..engine.evalcache import atomic_write_json, quarantine_corrupt
 from ..errors import ReproError
+from ..persist import read_document, valid_number, write_document
 
 logger = logging.getLogger(__name__)
 
@@ -71,14 +70,25 @@ class TunedEntry:
             decisions = {
                 k: _decode_value(v) for k, v in data["decisions"].items()
             }
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError) as exc:
             raise CacheError(f"malformed cache entry: {data!r}") from exc
+        if not valid_number(data.get("predicted_cycles")) or not valid_number(
+            data.get("measured_cycles")
+        ):
+            raise CacheError(f"malformed cache entry: {data!r}")
         return cls(
             strategy=ScheduleStrategy(decisions),
             predicted_cycles=data.get("predicted_cycles"),
             measured_cycles=data.get("measured_cycles"),
             validation_digest=data.get("validation_digest"),
         )
+
+
+def _parse_entry(key: str, data) -> Optional[TunedEntry]:
+    try:
+        return TunedEntry.from_json(data)
+    except CacheError:
+        return None
 
 
 class KernelCache:
@@ -90,7 +100,8 @@ class KernelCache:
         self._entries: Dict[str, TunedEntry] = {}
         self.hits = 0
         self.misses = 0
-        #: tolerant-load accounting (``load(strict=False)``)
+        #: accounting of the load that produced this cache
+        self.recovered = False
         self.skipped_entries = 0
         self.quarantined_path: Optional[Path] = None
         #: keys dropped by :meth:`quarantine` (kernel failed the
@@ -153,89 +164,35 @@ class KernelCache:
     def save(self, path: Union[str, Path]) -> None:
         """Write the cache atomically (temp file + rename), so a killed
         process never leaves a half-written library file behind."""
-        atomic_write_json(path, {
-            "version": self.VERSION,
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": {k: e.to_json() for k, e in self._entries.items()},
-        })
+        write_document(
+            path,
+            {
+                "hits": self.hits,
+                "misses": self.misses,
+                "entries": {k: e.to_json() for k, e in self._entries.items()},
+            },
+            version=self.VERSION,
+            salt=None,
+        )
 
     @classmethod
-    def load(cls, path: Union[str, Path], *, strict: bool = True) -> "KernelCache":
-        """Read a cache file.
-
-        ``strict`` (the default) raises :class:`CacheError` on any
-        corruption -- the offline-compiler mode, where a damaged
-        pre-tuned library should stop the build.  ``strict=False`` is
-        the online mode (:class:`~repro.runtime.library.AtopLibrary`):
-        an unreadable file is quarantined to a ``*.corrupt`` sidecar
-        and an empty cache returned, malformed entries are skipped and
-        counted in ``skipped_entries``, and the session re-tunes what
-        it lost instead of refusing to start.
-        """
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-            if not isinstance(payload, dict):
-                raise CacheError(
-                    f"kernel cache {path}: top-level JSON is "
-                    f"{type(payload).__name__}, not object"
-                )
-        except (OSError, json.JSONDecodeError) as exc:
-            if strict:
-                raise CacheError(
-                    f"cannot read kernel cache {path}: {exc}"
-                ) from exc
-            cache = cls()
-            cache.quarantined_path = quarantine_corrupt(
-                path, f"unreadable kernel cache ({exc})"
-            )
-            return cache
-        except CacheError as exc:
-            if strict:
-                raise
-            cache = cls()
-            cache.quarantined_path = quarantine_corrupt(path, str(exc))
-            return cache
-        if payload.get("version") != cls.VERSION:
-            if strict:
-                raise CacheError(
-                    f"kernel cache version {payload.get('version')!r} "
-                    f"!= {cls.VERSION}"
-                )
-            logger.warning(
-                "kernel cache %s has version %r != %d; starting empty",
-                path,
-                payload.get("version"),
-                cls.VERSION,
-            )
-            return cls()
+    def load(cls, path: Union[str, Path]) -> "KernelCache":
+        """Read a cache file under :func:`repro.persist.read_document`'s
+        policy; malformed entries are skipped and counted, so a session
+        re-tunes what it lost instead of refusing to start.  Unsalted:
+        a tuned strategy stays legal across code versions."""
+        doc = read_document(path, version=cls.VERSION, salt=None)
         cache = cls()
+        cache._entries = doc.parse_entries(_parse_entry)
+        cache.recovered = doc.recovered
+        cache.skipped_entries = doc.skipped_entries
+        cache.quarantined_path = doc.quarantined_path
+        body = doc.body or {}
         # counters survive the round-trip (older files without them
         # load as zero)
         try:
-            cache.hits = int(payload.get("hits", 0))
-            cache.misses = int(payload.get("misses", 0))
+            cache.hits = int(body.get("hits", 0))
+            cache.misses = int(body.get("misses", 0))
         except (TypeError, ValueError):
-            if strict:
-                raise CacheError(f"kernel cache {path}: malformed counters")
             cache.hits = cache.misses = 0
-        entries = payload.get("entries", {})
-        if not isinstance(entries, dict):
-            if strict:
-                raise CacheError(f"kernel cache {path}: malformed entries")
-            entries = {}
-        for key, data in entries.items():
-            try:
-                cache._entries[key] = TunedEntry.from_json(data)
-            except CacheError:
-                if strict:
-                    raise
-                cache.skipped_entries += 1
-        if cache.skipped_entries:
-            logger.warning(
-                "kernel cache %s: skipped %d malformed entries",
-                path,
-                cache.skipped_entries,
-            )
         return cache

@@ -91,12 +91,11 @@ class AtopLibrary:
         self.config = config or default_config()
         self.quick = quick
         self.cache_path = Path(cache_path) if cache_path else None
-        if self.cache_path and self.cache_path.exists():
-            # tolerant load: an online session re-tunes what a corrupt
-            # or stale library file lost instead of refusing to start.
-            self.cache = KernelCache.load(self.cache_path, strict=False)
-        else:
-            self.cache = KernelCache()
+        # an online session re-tunes what a missing, corrupt or stale
+        # library file lost instead of refusing to start
+        self.cache = (
+            KernelCache.load(self.cache_path) if self.cache_path else KernelCache()
+        )
         #: validation mode for library calls (``None`` inherits the
         #: process-wide default, see ``repro.engine.set_default_validate``)
         self.validate = (

@@ -20,7 +20,7 @@ from repro.engine import (
     set_default_checkpoint,
 )
 from repro.engine.checkpoint import CHECKPOINT_VERSION
-from repro.engine.evalcache import CODE_SALT
+from repro.persist import code_salt
 
 from ..scheduler.test_lower import gemm_cd
 
@@ -88,7 +88,7 @@ class TestCheckpointFile:
         assert results
         raw = json.loads(path.read_text())
         assert raw["version"] == CHECKPOINT_VERSION
-        assert raw["salt"] == CODE_SALT
+        assert raw["salt"] == code_salt()
         assert raw["complete"] is True
         assert len(raw["scored"]) == len(results)
 
@@ -161,6 +161,18 @@ class TestCheckpointValidation:
         state = SearchCheckpoint(space="x", pos=1)
         state.scored = [(0, {"predicted": 1.0}), (1, {"predicted": 2.0})]
         state.save(path)
+        assert SearchCheckpoint.load(path, expect_space="x") is None
+        assert (tmp_path / "ckpt.json.corrupt").exists()
+
+    @pytest.mark.parametrize(
+        "field, value", [("counters", 5), ("pos", "x"), ("worst_k", [[]])]
+    )
+    def test_malformed_fields_quarantined(self, tmp_path, field, value):
+        path = tmp_path / "ckpt.json"
+        SearchCheckpoint(space="x", pos=1).save(path)
+        raw = json.loads(path.read_text())
+        raw[field] = value
+        path.write_text(json.dumps(raw))
         assert SearchCheckpoint.load(path, expect_space="x") is None
         assert (tmp_path / "ckpt.json.corrupt").exists()
 

@@ -1,20 +1,26 @@
 """The persistent evaluation cache and its MemoizingEvaluator tier."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.dsl import ScheduleSpace
 from repro.engine import (
     CandidatePipeline,
+    Evaluation,
     MemoizingEvaluator,
     PersistentEvalStore,
+    SearchCheckpoint,
     SimulatorEvaluator,
     default_eval_store,
     evaluate_batch,
     set_eval_cache,
 )
 from repro.engine.evalcache import EVAL_CACHE_VERSION
+from repro.persist import _tree_digest, code_salt, quarantine_corrupt
+from repro.runtime import KernelCache
 
 from ..scheduler.test_lower import gemm_cd
 
@@ -61,20 +67,26 @@ class TestPersistentEvalStore:
 
     def test_salt_mismatch_discards_store(self, tmp_path, candidate, no_default_store):
         path = tmp_path / "scores.json"
-        store = PersistentEvalStore(path, salt="code-v1")
+        store = PersistentEvalStore(path)
         MemoizingEvaluator(
             SimulatorEvaluator(), store={}, disk=store
         ).evaluate(candidate)
         store.flush()
+        raw = json.loads(path.read_text())
+        assert raw["salt"] == code_salt()
+        assert len(PersistentEvalStore(path)) == 1
 
-        stale = PersistentEvalStore(path, salt="code-v2")
+        raw["salt"] = "other code"
+        path.write_text(json.dumps(raw))
+        stale = PersistentEvalStore(path)
         assert len(stale) == 0
+        assert path.exists()  # the other code may still want it
 
     def test_version_mismatch_discards_store(self, tmp_path, no_default_store):
         path = tmp_path / "scores.json"
         payload = {
             "version": EVAL_CACHE_VERSION + 1,
-            "salt": PersistentEvalStore(tmp_path / "x.json").salt,
+            "salt": code_salt(),
             "entries": {"deadbeef": [1.0, 2.0]},
         }
         path.write_text(json.dumps(payload))
@@ -130,10 +142,9 @@ class TestPersistentEvalStore:
         self, tmp_path, no_default_store
     ):
         path = tmp_path / "scores.json"
-        probe = PersistentEvalStore(tmp_path / "probe.json")
         payload = {
             "version": EVAL_CACHE_VERSION,
-            "salt": probe.salt,
+            "salt": code_salt(),
             "entries": {
                 "good": [1.0, 2.0, None],
                 "bad-shape": [1.0],
@@ -144,7 +155,7 @@ class TestPersistentEvalStore:
         path.write_text(json.dumps(payload))
         store = PersistentEvalStore(path)
         assert len(store) == 1
-        assert store.invalid_entries == 3
+        assert store.skipped_entries == 3
         assert "3 malformed" in store.describe()
         store.flush()  # rewrites without the bad entries
         assert len(PersistentEvalStore(path)) == 1
@@ -231,8 +242,6 @@ class TestQuarantineSidecars:
         """Each quarantine gets its own sidecar: ``.corrupt``,
         ``.corrupt.1``, ... -- a second corruption must not overwrite
         the first post-mortem."""
-        from repro.engine.evalcache import quarantine_corrupt
-
         path = tmp_path / "store.json"
         path.write_text("first corruption")
         s1 = quarantine_corrupt(path, "test")
@@ -247,3 +256,240 @@ class TestQuarantineSidecars:
         assert s2.read_text() == "second corruption"
         assert s3.read_text() == "third corruption"
         assert not path.exists()
+
+
+# --- the shared document policy (repro.persist) --------------------------
+def _write_json(path, raw):
+    path.write_text(json.dumps(raw))
+
+
+def _edit(path, change):
+    raw = json.loads(path.read_text())
+    change(raw)
+    _write_json(path, raw)
+
+
+class _EvalStoreDoc:
+    """Adapter: write a valid two-entry document, load it, corrupt
+    one entry -- the same verbs for each of the three document types."""
+
+    name = "eval-store"
+
+    @staticmethod
+    def write(path):
+        _write_json(path, {
+            "version": EVAL_CACHE_VERSION,
+            "salt": code_salt(),
+            "entries": {"a": [1.0, 2.0, None], "b": [3.0, 4.0, None]},
+        })
+
+    @staticmethod
+    def load(path):
+        store = PersistentEvalStore(path)
+        return len(store), store
+
+    @staticmethod
+    def break_entry(raw):
+        raw["entries"]["c"] = ["abc", 1.0, None]
+
+
+class _KernelCacheDoc:
+    name = "kernel-cache"
+
+    @staticmethod
+    def write(path):
+        from ..runtime.test_runtime import sample_entry
+
+        cache = KernelCache()
+        cache.put("a", sample_entry())
+        cache.put("b", sample_entry())
+        cache.save(path)
+
+    @staticmethod
+    def load(path):
+        cache = KernelCache.load(path)
+        return len(cache), cache
+
+    @staticmethod
+    def break_entry(raw):
+        raw["entries"]["c"] = dict(raw["entries"]["a"], predicted_cycles="abc")
+
+
+class _CheckpointDoc:
+    name = "checkpoint"
+
+    @staticmethod
+    def write(path):
+        SearchCheckpoint(
+            space="s",
+            pos=2,
+            scored=[
+                (0, SearchCheckpoint.pack_eval(Evaluation(predicted_cycles=1.0))),
+                (1, SearchCheckpoint.pack_eval(Evaluation(predicted_cycles=2.0))),
+            ],
+        ).save(path)
+
+    @staticmethod
+    def load(path):
+        # a checkpoint is all-or-nothing: None when it is not trusted
+        state = SearchCheckpoint.load(path, expect_space="s")
+        return (0 if state is None else len(state.scored)), None
+
+    @staticmethod
+    def break_entry(raw):
+        raw["scored"].append(["not an index", {}])
+
+
+DOC_TYPES = [_EvalStoreDoc, _KernelCacheDoc, _CheckpointDoc]
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-5])  # tears the last entry
+
+
+def _make_unreadable(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _bump_version(raw):
+    raw["version"] += 1
+
+
+def _change_salt(raw):
+    raw["salt"] = "other code"
+
+
+#: case -> (how to damage a valid file, per-type expected outcome
+#: (entries loaded, recovered, skipped entries, quarantined))
+CASES = {
+    "valid": (None, {"*": (2, False, 0, False)}),
+    "missing": (lambda p: p.unlink(), {"*": (0, False, 0, False)}),
+    "unreadable": (_make_unreadable, {"*": (0, False, 0, False)}),
+    "truncated": (_truncate, {
+        "*": (1, True, 0, False),
+        "checkpoint": (0, False, 0, True),  # no entries prefix to keep
+    }),
+    "garbage": (lambda p: p.write_bytes(b"\x00\xffnot json {"),
+                {"*": (0, False, 0, True)}),
+    "not-object": (lambda p: p.write_text("[1, 2, 3]"),
+                   {"*": (0, False, 0, True)}),
+    "wrong-version": (lambda p: _edit(p, _bump_version),
+                      {"*": (0, False, 0, False)}),
+    "wrong-salt": (lambda p: _edit(p, _change_salt), {
+        "*": (0, False, 0, False),
+        "kernel-cache": (2, False, 0, False),  # unsalted by design
+    }),
+    "malformed-entry": ("break_entry", {
+        "*": (2, False, 1, False),
+        "checkpoint": (0, False, 0, True),
+    }),
+}
+
+
+class TestDocumentPolicy:
+    """Every persistence file type under the one repro.persist policy."""
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize(
+        "doc", DOC_TYPES, ids=[d.name for d in DOC_TYPES]
+    )
+    def test_envelope(self, tmp_path, doc, case, no_default_store):
+        damage, expected = CASES[case]
+        entries, recovered, skipped, quarantined = expected.get(
+            doc.name, expected["*"]
+        )
+        path = tmp_path / "doc.json"
+        doc.write(path)
+        if damage == "break_entry":
+            _edit(path, doc.break_entry)
+        elif damage is not None:
+            damage(path)
+
+        n, outcome = doc.load(path)
+        assert n == entries
+        sidecar = tmp_path / "doc.json.corrupt"
+        assert sidecar.exists() == quarantined
+        # only a quarantine moves the file; nothing else touches it
+        assert path.exists() == (case != "missing" and not quarantined)
+        if case == "unreadable":
+            assert path.is_dir()
+        if outcome is not None:
+            assert outcome.recovered == recovered
+            assert outcome.skipped_entries == skipped
+            assert outcome.quarantined_path == (sidecar if quarantined else None)
+
+    def test_parent_format_documents_load(self, tmp_path, no_default_store):
+        """Literal files in the layout written before the envelope moved
+        to repro.persist (salted ones carry the running code's salt)."""
+        salt = code_salt()
+        ev = tmp_path / "ev.json"
+        ev.write_text(
+            '{"version": 2, "salt": "%s", "entries": {'
+            '"5f8071d632d7b6686a5973c77c55209f2b81e75fc8c686f076026d28320dc5cf":'
+            ' [1200.0, null, null], '
+            '"a72d571b7288508eab6ad3bc552794f7c6eae1a8e0ac92c58d2d3913e5d55197":'
+            ' [null, 1500, null]}}' % salt
+        )
+        store = PersistentEvalStore(ev)
+        first = store.get(("parent-format", 1))
+        second = store.get(("parent-format", 2))
+        assert (first.predicted_cycles, first.measured_cycles) == (1200.0, None)
+        assert (second.predicted_cycles, second.measured_cycles) == (None, 1500)
+
+        kc = tmp_path / "kernels.json"
+        kc.write_text(
+            '{"version": 1, "hits": 1, "misses": 1, "entries": {'
+            '"gemm:64x64x64": {"decisions": {"tile:M": 64, "order": '
+            '{"__tuple__": ["M", "N", "K"]}, "vec_dim": "M"}, '
+            '"predicted_cycles": 123.0, "measured_cycles": 150.0, '
+            '"validation_digest": "abc"}}}'
+        )
+        cache = KernelCache.load(kc)
+        assert (cache.hits, cache.misses) == (1, 1)
+        entry = cache.get("gemm:64x64x64")
+        assert dict(entry.strategy.decisions) == {
+            "tile:M": 64, "order": ("M", "N", "K"), "vec_dim": "M"
+        }
+        assert (entry.predicted_cycles, entry.measured_cycles) == (123.0, 150.0)
+        assert entry.validation_digest == "abc"
+
+        ck = tmp_path / "search.json"
+        ck.write_text(
+            '{"version": 1, "salt": "%s", "space": "s", "pos": 3, '
+            '"worst_k": [-2.0, -1.0], "scored": [[0, {"predicted": 1.0, '
+            '"measured": null, "report": null}], [2, {"failed": true, '
+            '"site": "crash", "error_type": "InjectedCrash", '
+            '"error_message": "boom", "error_chain": ["InjectedCrash: boom"], '
+            '"attempts": 3}]], "counters": {"bound_pruned": 5, '
+            '"spm_pruned": 0, "quarantined": 0}, "prune_batches": '
+            '[[8, 5, 3]], "complete": false}' % salt
+        )
+        state = SearchCheckpoint.load(ck, expect_space="s")
+        assert (state.pos, state.worst_k, state.bound_pruned) == (3, [-2.0, -1.0], 5)
+        assert [idx for idx, _ in state.scored] == [0, 2]
+        failed = SearchCheckpoint.unpack_eval(state.scored[1][1], None)
+        assert failed.failed and failed.attempts == 3
+        # a re-save writes the same document back (prune batches,
+        # counters and the version header included)
+        state.save(tmp_path / "again.json")
+        assert json.loads((tmp_path / "again.json").read_text()) == json.loads(
+            ck.read_text()
+        )
+
+
+class TestCodeSalt:
+    def test_salt_digests_the_package_source(self, tmp_path):
+        """The salt follows the source: one changed byte anywhere in a
+        copy of the package changes it."""
+        import repro
+
+        src = Path(repro.__file__).parent
+        tree = tmp_path / "repro"
+        shutil.copytree(src, tree, ignore=shutil.ignore_patterns("__pycache__"))
+        assert _tree_digest(tree) == code_salt()
+        target = tree / "autotuner" / "cost_model.py"
+        data = bytearray(target.read_bytes())
+        data[-1] ^= 1
+        target.write_bytes(bytes(data))
+        assert _tree_digest(tree) != code_salt()

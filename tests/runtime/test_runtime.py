@@ -49,21 +49,18 @@ class TestKernelCache:
         assert entry.strategy["order"] == ("M", "N", "K")  # tuple preserved
         assert entry.predicted_cycles == 123.0
 
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("not json {")
-        with pytest.raises(CacheError):
-            KernelCache.load(path)
-
-    def test_load_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "v99.json"
-        path.write_text('{"version": 99, "entries": {}}')
-        with pytest.raises(CacheError):
-            KernelCache.load(path)
-
     def test_malformed_entry(self):
         with pytest.raises(CacheError):
             TunedEntry.from_json({"nope": 1})
+        good = sample_entry().to_json()
+        for field, value in [
+            ("predicted_cycles", "abc"),
+            ("measured_cycles", [1]),
+            ("measured_cycles", True),
+            ("decisions", [1]),
+        ]:
+            with pytest.raises(CacheError):
+                TunedEntry.from_json({**good, field: value})
 
     def test_counters_survive_roundtrip(self, tmp_path):
         c = KernelCache()
@@ -94,7 +91,7 @@ class TestKernelCache:
     def test_tolerant_load_quarantines_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json {")
-        loaded = KernelCache.load(path, strict=False)
+        loaded = KernelCache.load(path)
         assert len(loaded) == 0
         sidecar = tmp_path / "bad.json.corrupt"
         assert loaded.quarantined_path == sidecar
@@ -111,16 +108,14 @@ class TestKernelCache:
         payload = json.loads(path.read_text())
         payload["entries"]["broken"] = {"nope": 1}
         path.write_text(json.dumps(payload))
-        with pytest.raises(CacheError):
-            KernelCache.load(path)  # strict: a damaged library must stop
-        loaded = KernelCache.load(path, strict=False)
+        loaded = KernelCache.load(path)
         assert loaded.skipped_entries == 1
         assert loaded.get("good") is not None
 
     def test_tolerant_load_ignores_version_mismatch(self, tmp_path):
         path = tmp_path / "v99.json"
         path.write_text('{"version": 99, "entries": {}}')
-        loaded = KernelCache.load(path, strict=False)
+        loaded = KernelCache.load(path)
         assert len(loaded) == 0
         assert path.exists()  # another code version may still want it
 
@@ -138,6 +133,17 @@ class TestKernelCache:
         lib = AtopLibrary(cache_path=path)  # must not raise
         assert len(lib.cache) == 0
         assert (tmp_path / "library.json.corrupt").exists()
+
+    def test_library_leaves_unreadable_cache_path_in_place(self, tmp_path):
+        """A path that cannot be read (here a directory) is not corrupt:
+        it must not be renamed away from its owner."""
+        path = tmp_path / "library"
+        path.mkdir()
+        lib = AtopLibrary(cache_path=path)
+        assert len(lib.cache) == 0
+        assert path.is_dir()
+        assert lib.cache.quarantined_path is None
+        assert not (tmp_path / "library.corrupt").exists()
 
     def test_duplicate_put_same_strategy_ok(self):
         c = KernelCache()
