@@ -43,6 +43,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .. import persist
 from ..dsl.compute import ComputeDef, ROLE_OUTPUT, ShiftedDim
 from ..errors import SanitizerError, ValidationError
 from ..machine.config import MachineConfig
@@ -54,10 +55,6 @@ from .evaluators import (
     strategy_key,
     synthetic_feeds,
 )
-
-#: bump when validation semantics change: stale digests force
-#: revalidation of every cached entry recorded under the old scheme.
-VALIDATION_SALT = "swatop-validate-1"
 
 VALIDATE_MODES = ("off", "winner", "all")
 
@@ -302,11 +299,11 @@ def validation_digest(key: str, strategy) -> str:
     """Digest recorded on a cache entry when its kernel validated.
 
     Folds the operator cache key, the winning strategy and
-    :data:`VALIDATION_SALT`; a stored digest that no longer matches
-    (different strategy, older salt, or absent entirely) marks the
-    entry *stale* and forces revalidation on the next cache hit.
+    :func:`repro.persist.code_salt`; a stored digest that no longer
+    matches (different strategy, other code, or absent entirely) marks
+    the entry *stale* and forces revalidation on the next cache hit.
     """
-    payload = (VALIDATION_SALT, str(key), strategy_key(strategy))
+    payload = (persist.code_salt(), str(key), strategy_key(strategy))
     return hashlib.sha256(repr(payload).encode()).hexdigest()
 
 
@@ -361,7 +358,6 @@ class ValidatingEvaluator(Evaluator):
 
 __all__ = [
     "VALIDATE_MODES",
-    "VALIDATION_SALT",
     "ValidatingEvaluator",
     "ValidationReport",
     "compare_tensors",

@@ -163,6 +163,28 @@ def _shard_input(
     )
 
 
+#: compiled kernels of one strategy, by shard compute (see
+#: :func:`_shard_kernel`)
+KernelStore = Dict[str, CompiledKernel]
+
+
+def _shard_kernel(
+    kernels: KernelStore,
+    key: str,
+    make_compute: Callable[[], ComputeDef],
+    strategy: ScheduleStrategy,
+    config: MachineConfig,
+) -> CompiledKernel:
+    """The kernel of ``strategy`` for the shard compute named ``key``,
+    compiled on first use.  Shards of one shape share a kernel; a store
+    the caller passes in keeps them for its later calls, and must only
+    ever see the one strategy."""
+    ck = kernels.get(key)
+    if ck is None:
+        ck = kernels[key] = compile_strategy(make_compute(), strategy, config)
+    return ck
+
+
 # ---------------------------------------------------------------------------
 # GEMM
 # ---------------------------------------------------------------------------
@@ -175,9 +197,14 @@ def run_gemm(
     quick: bool = True,
     config: Optional[MachineConfig] = None,
     blackbox_limit: Optional[int] = None,
+    strategy: Optional[ScheduleStrategy] = None,
+    kernels: Optional[KernelStore] = None,
 ) -> OperatorRun:
     """``C = A @ B`` on one core group (GEMM routines, like xMath's, are
-    per-CG; multi-CG GEMM is a caller-level shard over M)."""
+    per-CG; multi-CG GEMM is a caller-level shard over M).
+
+    ``strategy`` replays a pre-tuned strategy instead of tuning; the
+    tuned winner's kernel, or the replayed one, lands in ``kernels``."""
     cfg = config or default_config()
     a = np.asarray(a, np.float32)
     b = np.asarray(b, np.float32)
@@ -189,9 +216,16 @@ def run_gemm(
     m, k = a.shape
     n = b.shape[1]
     compute = gemm_compute(m, n, k)
-    space = gemm_space(compute, quick=quick)
-    tuning = _tune(compute, space, tuner, cfg, blackbox_limit)
-    ck = CompiledKernel(tuning.best.candidate.kernel, compute, cfg)
+    kernels = {} if kernels is None else kernels
+    shape = f"{m}x{n}x{k}"
+    tuning: Optional[TuningResult] = None
+    if strategy is None:
+        space = gemm_space(compute, quick=quick)
+        tuning = _tune(compute, space, tuner, cfg, blackbox_limit)
+        strategy = tuning.best.candidate.strategy
+        # the winner is lowered already
+        kernels[shape] = CompiledKernel(tuning.best.candidate.kernel, compute, cfg)
+    ck = _shard_kernel(kernels, shape, lambda: compute, strategy, cfg)
     res = ck.run({"A": a, "B": b})
     return OperatorRun(report=res.report, output=res.outputs["C"], tuning=tuning)
 
@@ -211,11 +245,13 @@ def run_conv_implicit(
     collect_output: bool = True,
     blackbox_limit: Optional[int] = None,
     strategy: Optional[ScheduleStrategy] = None,
+    kernels: Optional[KernelStore] = None,
 ) -> OperatorRun:
     cfg = config or default_config()
     xp = pad_input(np.asarray(x, np.float32), params)
     w = np.asarray(w, np.float32)
     shards = shard_conv(params, cfg)
+    kernels = {} if kernels is None else kernels
 
     tuning: Optional[TuningResult] = None
     if library == "swatop":
@@ -237,13 +273,11 @@ def run_conv_implicit(
 
     out = np.zeros(params.output_shape, np.float32) if collect_output else None
     reports: List[SimReport] = []
-    cache: Dict[str, CompiledKernel] = {}
     for shard in shards:
-        key = shard.params.describe()
-        if key not in cache:
-            compute = conv_implicit.make_compute(shard.params)
-            cache[key] = compile_strategy(compute, strategy, cfg)
-        ck = cache[key]
+        ck = _shard_kernel(
+            kernels, shard.params.describe(),
+            lambda: conv_implicit.make_compute(shard.params), strategy, cfg,
+        )
         res = ck.run({"input": _shard_input(xp, shard, params), "weight": w})
         reports.append(res.report)
         if out is not None:
@@ -269,11 +303,13 @@ def run_conv_explicit(
     collect_output: bool = True,
     blackbox_limit: Optional[int] = None,
     strategy: Optional[ScheduleStrategy] = None,
+    kernels: Optional[KernelStore] = None,
 ) -> OperatorRun:
     cfg = config or default_config()
     xp = pad_input(np.asarray(x, np.float32), params)
     w_mat_full = conv_explicit.weight_matrix(np.asarray(w, np.float32), params)
     shards = shard_conv(params, cfg)
+    kernels = {} if kernels is None else kernels
 
     tuning: Optional[TuningResult] = None
     if library == "swatop":
@@ -295,8 +331,10 @@ def run_conv_explicit(
             layout = conv_explicit.col_layout_of(strategy)
             col = conv_explicit.im2col(xs, sp, "kn")  # logical (K, N) feed
             expand = conv_explicit.expand_report(sp, layout, cfg)
-            compute = conv_explicit.make_compute(sp)
-            ck = compile_strategy(compute, strategy, cfg)
+            ck = _shard_kernel(
+                kernels, sp.describe(),
+                lambda: conv_explicit.make_compute(sp), strategy, cfg,
+            )
             res = ck.run({"A": w_mat_full, "B": col})
             stage = conv_explicit.ExplicitStages(expand, res.report)
             reports.append(stage.total)
@@ -334,6 +372,7 @@ def run_conv_winograd(
     blackbox_limit: Optional[int] = None,
     strategy: Optional[ScheduleStrategy] = None,
     variant: str = "f22",
+    kernels: Optional[KernelStore] = None,
 ) -> OperatorRun:
     """Winograd convolution.
 
@@ -343,6 +382,7 @@ def run_conv_winograd(
     faster, the per-shape primitive selection swATOP advertises.
     """
     cfg = config or default_config()
+    kernels = {} if kernels is None else kernels
     if not conv_winograd.applicable(params):
         raise WorkloadError(f"winograd not applicable to {params.describe()}")
     if variant == "auto":
@@ -353,6 +393,7 @@ def run_conv_winograd(
                 params, x, w, library=library, tuner=tuner, quick=quick,
                 config=cfg, collect_output=collect_output,
                 blackbox_limit=blackbox_limit, variant=name,
+                kernels=kernels,
             )
             for name in ("f22", "f44")
         ]
@@ -393,8 +434,10 @@ def run_conv_winograd(
             conv_winograd.input_transform_report(sp, cfg, wv),
         ]
         if library == "swatop":
-            compute = conv_winograd.make_compute(sp, wv)
-            ck = compile_strategy(compute, strategy, cfg)
+            ck = _shard_kernel(
+                kernels, f"{sp.describe()}:{wv.name}",
+                lambda: conv_winograd.make_compute(sp, wv), strategy, cfg,
+            )
             res = ck.run({"U": u_mat, "V": v_mat})
             stage_reports.append(res.report)
             m_mat = res.outputs["M"]
@@ -450,6 +493,7 @@ def run_conv_strided(
     config: Optional[MachineConfig] = None,
     blackbox_limit: Optional[int] = None,
     strategies: Optional[Sequence[ScheduleStrategy]] = None,
+    kernels: Optional[Sequence[KernelStore]] = None,
 ) -> OperatorRun:
     """Strided convolution: phase-decompose into unit-stride convs
     (see :mod:`repro.ops.strided`), run each through the tuned
@@ -459,6 +503,7 @@ def run_conv_strided(
     ``strategies`` injects one pre-tuned strategy per phase (the
     library's cached-replay path); the strategies actually used are
     returned on ``OperatorRun.phase_strategies`` either way.
+    ``kernels`` passes one kernel store per phase to its runner.
     """
     from ..ops import strided
 
@@ -473,6 +518,10 @@ def run_conv_strided(
         raise WorkloadError(
             f"{len(strategies)} injected strategies for {len(phases)} phases"
         )
+    if kernels is not None and len(kernels) != len(phases):
+        raise WorkloadError(
+            f"{len(kernels)} kernel stores for {len(phases)} phases"
+        )
     out = np.zeros(params.output_shape, np.float32)
     reports: List[SimReport] = []
     tuning: Optional[TuningResult] = None
@@ -485,6 +534,7 @@ def run_conv_strided(
             phase.params, xs, ws, library=library, tuner=tuner,
             quick=quick, config=cfg, collect_output=True,
             blackbox_limit=blackbox_limit, strategy=injected,
+            kernels=kernels[i] if kernels is not None else None,
         )
         out += run.output
         reports.append(run.report)

@@ -18,33 +18,33 @@ execution.  The caller always gets a correct result; the fallback is
 visible in :class:`LibraryStats`, on
 :attr:`~repro.harness.runner.OperatorRun.fallback_reason`, and as one
 :class:`KernelFallbackWarning` per affected cache key.
+
+Compile once, serve many: the library keeps the kernels its calls
+compiled, per cache key, and a hit runs them again instead of lowering,
+optimizing and verifying its strategy anew.  They are served only for
+the very cache entry and strategy they were compiled for and under the
+sanitize mode they were compiled under; a quarantined or overwritten
+entry's kernels are dropped.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..engine import compile_strategy, resolve_validate, validation_digest
+from ..engine import resolve_validate, strategy_key, validation_digest
 from ..engine.validate import compare_tensors
 from ..errors import SanitizerError, ValidationError, WorkloadError
-from ..harness.runner import (
-    CONV_RUNNERS,
-    OperatorRun,
-    run_gemm,
-    shard_conv,
-    _shard_input,
-)
+from ..harness.runner import CONV_RUNNERS, KernelStore, OperatorRun, run_gemm
 from ..machine.config import MachineConfig, default_config
+from ..machine.sanitizer import resolve_sanitize
 from ..machine.trace import SimReport
 from ..ops import conv2d_reference, select_method
 from ..ops.conv_common import ConvParams
-from ..ops.gemm import make_compute as gemm_compute
-from ..ops.gemm import make_space as gemm_space
 from .cache import KernelCache, TunedEntry
 
 #: sustained FLOP rate of the unported fallback path: one scalar FMA
@@ -77,6 +77,16 @@ class LibraryStats:
     quarantined: int = 0
 
 
+@dataclass
+class _Compiled:
+    """The kernels compiled for one cache entry, stamped with its
+    strategy and the sanitize mode they were compiled under."""
+
+    entry: TunedEntry
+    stamp: Tuple[tuple, bool]
+    kernels: KernelStore = field(default_factory=dict)
+
+
 class AtopLibrary:
     """Tuned-operator library with a persistent kernel cache."""
 
@@ -103,6 +113,9 @@ class AtopLibrary:
         )
         self.stats = LibraryStats()
         self._warned_keys: set = set()
+        #: cache key -> the kernels compiled for its entry (one entry
+        #: per key, so bounded by the cache)
+        self._compiled: Dict[str, _Compiled] = {}
 
     # --- keys ------------------------------------------------------------
     @staticmethod
@@ -135,9 +148,10 @@ class AtopLibrary:
         entry = self.cache.get(key)
         try:
             if entry is None:
+                kernels: KernelStore = {}
                 run = CONV_RUNNERS[method](
                     params, x, w, library="swatop",
-                    quick=self.quick, config=self.config,
+                    quick=self.quick, config=self.config, kernels=kernels,
                 )
                 assert run.tuning is not None
                 entry = TunedEntry(
@@ -146,18 +160,24 @@ class AtopLibrary:
                     measured_cycles=run.cycles,
                 )
                 self.cache.put(key, entry)
+                self._kernels(key, entry).update(kernels)
                 self.stats.tuned += 1
                 self._certify(
-                    key, entry, run.output,
+                    [key], [entry], run.output,
                     lambda: conv2d_reference(x, w, params),
                     rtol=CONV_RTOL, atol=CONV_ATOL,
                 )
                 self._autosave()
             else:
                 self.stats.cache_hits += 1
-                run = self._run_cached_conv(method, params, x, w, entry)
+                # replay the cached strategy without re-tuning (what an
+                # offline-compiled library does at load time)
+                run = CONV_RUNNERS[method](
+                    params, x, w, library="swatop", config=self.config,
+                    strategy=entry.strategy, kernels=self._kernels(key, entry),
+                )
                 self._certify(
-                    key, entry, run.output,
+                    [key], [entry], run.output,
                     lambda: conv2d_reference(x, w, params),
                     rtol=CONV_RTOL, atol=CONV_ATOL,
                 )
@@ -181,9 +201,10 @@ class AtopLibrary:
 
         try:
             if entry is None:
+                kernels: KernelStore = {}
                 run = run_gemm(
                     a, b, library="swatop", quick=self.quick,
-                    config=self.config,
+                    config=self.config, kernels=kernels,
                 )
                 assert run.tuning is not None
                 entry = TunedEntry(
@@ -191,21 +212,21 @@ class AtopLibrary:
                     measured_cycles=run.cycles,
                 )
                 self.cache.put(key, entry)
+                self._kernels(key, entry).update(kernels)
                 self.stats.tuned += 1
                 self._certify(
-                    key, entry, run.output, reference,
+                    [key], [entry], run.output, reference,
                     rtol=GEMM_RTOL, atol=GEMM_ATOL,
                 )
                 self._autosave()
             else:
                 self.stats.cache_hits += 1
-                compute = gemm_compute(m, n, k)
-                ck = compile_strategy(compute, entry.strategy, self.config)
-                res = ck.run({"A": np.asarray(a, np.float32),
-                              "B": np.asarray(b, np.float32)})
-                run = OperatorRun(report=res.report, output=res.outputs["C"])
+                run = run_gemm(
+                    a, b, library="swatop", config=self.config,
+                    strategy=entry.strategy, kernels=self._kernels(key, entry),
+                )
                 self._certify(
-                    key, entry, run.output, reference,
+                    [key], [entry], run.output, reference,
                     rtol=GEMM_RTOL, atol=GEMM_ATOL,
                 )
         except (SanitizerError, ValidationError) as exc:
@@ -231,9 +252,11 @@ class AtopLibrary:
 
         The winning per-phase strategies are cached under
         ``conv:strided:`` keys, so repeat strided calls replay without
-        re-tuning, exactly like the unit-stride path.  A failing cached
-        replay quarantines *all* phase keys (the phases were tuned as
-        one decomposition) and falls back to the reference.
+        re-tuning, exactly like the unit-stride path.  The phases are
+        certified as one decomposition: one check of the summed output
+        stamps every phase entry, and a hit is trusted only while every
+        phase's digest is fresh.  A failing call quarantines *all*
+        phase keys and falls back to the reference.
         """
         from ..harness.runner import run_conv_strided
         from ..ops import strided
@@ -246,31 +269,40 @@ class AtopLibrary:
             for i in range(n_phases)
         ]
         entries = [self.cache.get(k) for k in keys]
+
+        def reference() -> np.ndarray:
+            return conv2d_reference(x, w, params)
+
         try:
             if all(e is not None for e in entries):
                 run = run_conv_strided(
                     params, x, w, library="swatop", method=method,
                     quick=self.quick, config=self.config,
                     strategies=[e.strategy for e in entries],
+                    kernels=[self._kernels(k, e) for k, e in zip(keys, entries)],
                 )
                 self.stats.cache_hits += 1
                 self._certify(
-                    keys[0], entries[0], run.output,
-                    lambda: conv2d_reference(x, w, params),
+                    keys, entries, run.output, reference,
                     rtol=CONV_RTOL, atol=CONV_ATOL,
                 )
             else:
+                stores = [{} for _ in keys]
                 run = run_conv_strided(
                     params, x, w, library="swatop", method=method,
-                    quick=self.quick, config=self.config,
+                    quick=self.quick, config=self.config, kernels=stores,
                 )
-                if run.phase_strategies is not None:
-                    for key, strategy in zip(keys, run.phase_strategies):
-                        self.cache.put(
-                            key, TunedEntry(strategy=strategy), overwrite=True
-                        )
-                    self._autosave()
                 self.stats.tuned += 1
+                if run.phase_strategies is not None:
+                    entries = [TunedEntry(strategy=s) for s in run.phase_strategies]
+                    for key, entry, kernels in zip(keys, entries, stores):
+                        self.cache.put(key, entry, overwrite=True)
+                        self._kernels(key, entry).update(kernels)
+                    self._certify(
+                        keys, entries, run.output, reference,
+                        rtol=CONV_RTOL, atol=CONV_ATOL,
+                    )
+                    self._autosave()
         except (SanitizerError, ValidationError) as exc:
             run = self._fallback(
                 keys, exc,
@@ -281,55 +313,50 @@ class AtopLibrary:
         return run
 
     # --- internals -----------------------------------------------------------
-    def _run_cached_conv(
-        self,
-        method: str,
-        params: ConvParams,
-        x: np.ndarray,
-        w: np.ndarray,
-        entry: TunedEntry,
-    ) -> OperatorRun:
-        """Re-run a cached strategy without re-tuning: the runner
-        accepts an injected strategy (what an offline-compiled library
-        does at load time)."""
-        runner = CONV_RUNNERS[method]
-        return runner(
-            params, x, w, library="swatop", config=self.config,
-            strategy=entry.strategy,
-        )
+    def _kernels(self, key: str, entry: TunedEntry) -> KernelStore:
+        """The kernel store of ``key``: what earlier calls compiled for
+        this very ``entry``, its current strategy and the sanitize mode
+        now in force, or a fresh store in place of any other."""
+        stamp = (strategy_key(entry.strategy), resolve_sanitize(None))
+        compiled = self._compiled.get(key)
+        if compiled is None or compiled.entry is not entry or compiled.stamp != stamp:
+            compiled = self._compiled[key] = _Compiled(entry, stamp)
+        return compiled.kernels
 
     def _certify(
         self,
-        key: str,
-        entry: TunedEntry,
+        keys: Sequence[str],
+        entries: Sequence[TunedEntry],
         output: Optional[np.ndarray],
         reference: Callable[[], np.ndarray],
         *,
         rtol: float,
         atol: float,
     ) -> None:
-        """Trust gate for a kernel's output.
+        """Trust gate for the output of the kernels cached as ``entries``
+        under ``keys`` (several for the phases of a strided conv).
 
-        No-op when validation is off or the entry's recorded digest is
-        fresh (the kernel already proved itself under the current
-        strategy and salt).  Otherwise the output is differentially
-        compared against the reference: success stamps the digest onto
-        the entry (persisted, so the check amortizes to zero), failure
-        raises :class:`~repro.errors.ValidationError` for the caller's
-        quarantine-and-fall-back path.
+        No-op when validation is off or every entry's recorded digest
+        is fresh (the kernels already proved themselves under the
+        current strategies and code).  Otherwise the output is
+        differentially compared against the reference: success stamps
+        the digests onto the entries (persisted, so the check amortizes
+        to zero), failure raises :class:`~repro.errors.ValidationError`
+        for the caller's quarantine-and-fall-back path.
         """
         mode = resolve_validate(self.validate)
         if mode == "off" or output is None:
             return
-        digest = validation_digest(key, entry.strategy)
-        if entry.validation_digest == digest:
+        digests = [validation_digest(k, e.strategy) for k, e in zip(keys, entries)]
+        if all(e.validation_digest == d for e, d in zip(entries, digests)):
             return
         self.stats.validations += 1
         compare_tensors(
             output, reference(), rtol=rtol, atol=atol,
-            op=key, tensor="output",
+            op=keys[0], tensor="output",
         )
-        entry.validation_digest = digest
+        for entry, digest in zip(entries, digests):
+            entry.validation_digest = digest
         self._autosave()
 
     def _fallback(
@@ -344,6 +371,7 @@ class AtopLibrary:
         from the reference implementation, timed as unported MPE-side
         execution (the honest cost of not trusting the kernel)."""
         for key in keys:
+            self._compiled.pop(key, None)
             if self.cache.quarantine(key) is not None:
                 self.stats.quarantined += 1
         self.stats.fallbacks += 1

@@ -61,31 +61,43 @@ class _NeverHit(dict):
 
 
 def test_per_run_memos_are_exact():
-    """``run`` and ``time_only`` share the DMA and node-cost memos, so
-    they are checked against a run that recomputes every cost.  The
-    space tiles N=96 by 24: a B/C tile then starts at four different
-    offsets modulo the 128-byte DRAM transaction, and pays differently
-    at two of them."""
+    """Every run of one kernel, ``run`` or ``time_only``, shares the
+    kernel's DMA and node-cost tables, so repeated runs of one kernel on
+    different feeds are checked against a fresh kernel and against a
+    kernel that recomputes every cost.  The space tiles N=96 by 24: a
+    B/C tile then starts at four different offsets modulo the 128-byte
+    DRAM transaction, and pays differently at two of them."""
     compute = gemm_compute(32, 96, 32)
     space = ScheduleSpace(compute)
     space.split("M", [8, 32]); space.split("N", [24, 96]); space.split("K", [8, 32])
     space.reorder([("M", "N", "K"), ("N", "M", "K")])
     space.vectorize(); space.spm_layout("a"); space.spm_layout("b")
-    feeds = synthetic_feeds(compute)
-    alignment_sensitive = 0
-    for candidate in CandidatePipeline(compute, space).candidates():
-        ck = CompiledKernel(candidate.kernel, compute, sanitize=False)
-        memoized = _TimingState(ck, feeds)
-        report = memoized.simulate()
-        recomputed = _TimingState(ck, feeds)
-        recomputed._dma_memo = _NeverHit()
-        recomputed._node_cycles = _NeverHit()
-        assert report == recomputed.simulate(), candidate.strategy
+    feeds = [synthetic_feeds(compute, seed=seed) for seed in (0, 1)]
+    pipeline = CandidatePipeline(compute, space)
+    alignment_sensitive = checked = 0
+    for candidate in pipeline.candidates():
+        def kernel():
+            return CompiledKernel(candidate.kernel, compute, sanitize=False)
+
+        recomputing = kernel()
+        recomputing._dma_memo = _NeverHit()
+        recomputing._node_cycles = _NeverHit()
+        want = recomputing.time_only(feeds[0])
+        assert recomputing.run(feeds[1]).report == want, candidate.strategy
+        assert kernel().run(feeds[0]).report == want, candidate.strategy
+        reused = kernel()
+        for i, timed in enumerate((True, False, True, False, False, True)):
+            feed = feeds[i % 2]
+            report = reused.time_only(feed) if timed else reused.run(feed).report
+            assert report == want, (candidate.strategy, i)
         costs = {}
-        for (node_id, _), cost in memoized._dma_memo.items():
+        for (node_id, _), cost in reused._dma_memo.items():
             costs.setdefault(node_id, set()).add(cost)
         alignment_sensitive += any(len(c) > 1 for c in costs.values())
+        checked += 1
+    assert checked == pipeline.stats.legal == space.size()
     assert alignment_sensitive > 0
+
 
 
 class TestSanitizedGuard:
@@ -116,9 +128,11 @@ class TestSanitizedGuard:
 
     def test_unsanitized_path_is_not_cross_checked(self, monkeypatch):
         cd, ck = compiled()
-        plain = CompiledKernel(ck.kernel, cd, sanitize=False)
-        honest = plain.time_only(_feeds())
+        honest = CompiledKernel(ck.kernel, cd, sanitize=False).time_only(_feeds())
         self.skew_data_free_dma(monkeypatch)
+        # a fresh kernel: costs are kept per kernel, so the honest
+        # kernel's later runs would reuse its honest costs
+        plain = CompiledKernel(ck.kernel, cd, sanitize=False)
         assert plain.time_only(_feeds()).cycles > honest.cycles
 
     def test_simulator_evaluator_guarded_under_sanitizer(self, monkeypatch):
