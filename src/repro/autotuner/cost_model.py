@@ -7,10 +7,12 @@ without running it:
   padded traffic over peak bandwidth.  The model assumes the first
   block of every transfer is 128-byte aligned and infers the per-block
   waste from the stride (the simulator, by contrast, uses the *actual*
-  allocation addresses -- one deliberate source of model error).  Its
-  per-transfer arithmetic (:func:`paid_bytes`, :func:`transfer_cycles`)
-  also gives the pre-IR strategy bound its floor,
-  :func:`min_transfer_cycles`, which stays below both.
+  allocation addresses -- one deliberate source of model error).  Both
+  share one per-transfer arithmetic in :mod:`repro.machine.dma`
+  (:func:`~repro.machine.dma.paid_bytes`,
+  :func:`~repro.machine.dma.transfer_cycles`), which also gives the
+  pre-IR strategy bound its floor, :func:`min_transfer_cycles`, which
+  stays below both scores.
 * **GEMM primitive time** -- Eq. (2): a per-variant linear function
   ``alpha*K + beta*K*M + gamma*K*M*N + delta`` fitted offline against
   micro-benchmark runs of ``spm_gemm``
@@ -25,11 +27,8 @@ kernels and the plain sum otherwise.
 
 from __future__ import annotations
 
-import itertools
-import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import TuningError
 from ..ir.nodes import (
@@ -45,6 +44,7 @@ from ..ir.nodes import (
     ZeroSpmNode,
 )
 from ..machine.config import MachineConfig, default_config
+from ..machine.dma import drift_period, paid_bytes, transfer_cycles
 from ..primitives.microkernel import KernelVariant
 
 #: Eq. (2) coefficients: (alpha, beta, gamma, delta) per variant name.
@@ -122,104 +122,6 @@ def predict_gemm(
         ) from None
     f = eq2_features(m, n, k, variant.vec_dim)
     return a * f[0] + b * f[1] + g * f[2] + d
-
-
-def _column_slices(
-    geo: DmaGeometry, cfg: MachineConfig
-) -> List[Tuple[int, int]]:
-    """``(offset, length)`` in bytes of the per-CPE slices of one block.
-
-    Each CG-level block is served by the cluster's columns: CPE (rid,
-    cid) transfers its 1/8 column slice as its own descriptor block.
-    """
-    from ..machine.spm import partition_extent
-
-    eb = cfg.dtype_bytes
-    block_elems = max(1, geo.block_bytes // eb)
-    return [
-        (c0 * eb, cl * eb)
-        for c0, cl in partition_extent(block_elems, cfg.cluster_cols)
-        if cl > 0
-    ]
-
-
-def drift_period(geo: DmaGeometry, cfg: MachineConfig) -> int:
-    """Blocks after which the start offsets of consecutive blocks,
-    modulo the DRAM transaction, repeat: ``lcm(step, txn) / step``."""
-    txn = cfg.dram_transaction_bytes
-    step = geo.block_bytes + geo.stride_bytes
-    g = math.gcd(step % txn if step % txn else txn, txn)
-    return txn // g
-
-
-def paid_bytes(
-    geo: DmaGeometry,
-    starts: Iterable[int],
-    blocks: int,
-    cfg: MachineConfig,
-) -> List[int]:
-    """The transaction-rounded bytes -- Eq. (1)'s traffic including its
-    waste term -- of ``blocks`` consecutive blocks of ``geo``, once per
-    first-block offset in ``starts`` (bytes past a DRAM transaction
-    boundary).
-
-    Every per-CPE column slice of a block is rounded out to whole
-    transactions.  The slices are contiguous, so a block pays each
-    transaction it spans once, plus once more for every interior slice
-    boundary that does not fall on a transaction boundary (the
-    transaction it cuts is fetched by both neighbours).  Block ``i``
-    starts ``i * (block + stride)`` bytes after the first, so a start
-    offset walks a cycle of :func:`drift_period` offsets: each cycle's
-    block costs are computed once, and a run of blocks along it is
-    whole cycles plus one prefix-sum difference.  Exact for every
-    ``blocks``.
-    """
-    txn = cfg.dram_transaction_bytes
-    step = geo.block_bytes + geo.stride_bytes
-    period = drift_period(geo, cfg)
-    whole, rest = divmod(blocks, period)
-    slices = _column_slices(geo, cfg)
-    span = sum(length for _, length in slices)
-    cuts = Counter(c_off % txn for c_off, _ in slices[1:])
-
-    def block_cost(base: int) -> int:
-        spanned = (base + span - 1) // txn + 1
-        return txn * (spanned + len(slices) - 1 - cuts[-base % txn])
-
-    if period == 1:  # every block starts at the same offset
-        return [blocks * block_cost(start % txn) for start in starts]
-    # cycle anchor -> (position of each offset on the cycle, prefix sums
-    # of the block costs along it, walked twice)
-    cycles: Dict[int, Tuple[Dict[int, int], List[int]]] = {}
-    out = []
-    for start in starts:
-        start %= txn
-        anchor = start % (txn // period)
-        cycle = cycles.get(anchor)
-        if cycle is None:
-            offsets = [(anchor + i * step) % txn for i in range(period)]
-            costs = [block_cost(base) for base in offsets]
-            cycle = cycles[anchor] = (
-                {base: i for i, base in enumerate(offsets)},
-                list(itertools.accumulate(costs + costs, initial=0)),
-            )
-        position, prefix = cycle
-        k = position[start]
-        out.append(whole * prefix[period] + prefix[k + rest] - prefix[k])
-    return out
-
-
-def transfer_cycles(
-    geo: DmaGeometry, paid: int, cfg: MachineConfig
-) -> float:
-    """Eq. (1) for one CG-level transfer paying ``paid`` bytes: the
-    start-up latency, one issue slot per descriptor, and the paid
-    traffic at peak bandwidth."""
-    return (
-        cfg.dma_latency_cycles
-        + cfg.dma_issue_cycles * max(1, geo.n_descriptors)
-        + paid / cfg.dram_bytes_per_cycle
-    )
 
 
 def predict_dma(

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..dsl.schedule import ScheduleStrategy
 from ..errors import WorkloadError
 from ..machine.config import MachineConfig, default_config

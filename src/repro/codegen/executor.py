@@ -37,7 +37,6 @@ import numpy as np
 from ..dsl.compute import ComputeDef, ROLE_OUTPUT
 from ..errors import CodegenError
 from ..ir.nodes import (
-    AllocSpmNode,
     ComputeOpNode,
     DmaCgNode,
     DmaWaitNode,
@@ -51,10 +50,9 @@ from ..ir.nodes import (
     ZeroSpmNode,
 )
 from ..machine.config import MachineConfig, default_config
-from ..machine.dma import MEM_TO_SPM
+from ..machine.dma import MEM_TO_SPM, paid_bytes_at, transfer_cycles
 from ..machine.memory import MainMemory
 from ..machine.sanitizer import MachineSanitizer, fail, resolve_sanitize
-from ..machine.spm import partition_extent
 from ..machine.trace import SimReport, Trace
 from ..optimizer.dma_inference import flatten_access, storage_shapes
 from ..optimizer.memplan import plan_spm
@@ -465,37 +463,15 @@ class _ExecState:
         self, node: DmaCgNode, base: int
     ) -> Tuple[float, int, int]:
         """(cycles, payload bytes, paid bytes) of ``node``'s transfer
-        starting at byte address ``base``."""
+        starting at byte address ``base``: Eq. (1) over the
+        transaction-rounded per-CPE slices of every block at its real
+        address."""
         cfg = self.cfg
         access = node.access
         flat = flatten_access(access.lengths, self.ck.storage_shapes[access.buffer])
         eb = cfg.dtype_bytes
-        row_addrs = base + flat.chunk_offsets() * eb
-        payload = int(flat.elems) * eb
-
-        # per-CPE split: rows over the 8 cluster rows, the chunk over
-        # the 8 cluster columns; total paid traffic is what the memory
-        # controller sees.
-        txn = cfg.dram_transaction_bytes
-        paid = 0
-        col_parts = [
-            (c0 * eb, cl * eb)
-            for c0, cl in partition_extent(flat.chunk_elems, cfg.cluster_cols)
-            if cl > 0
-        ]
-        for c_off, c_len in col_parts:
-            addrs = row_addrs + c_off
-            first = (addrs // txn) * txn
-            last = -(-(addrs + c_len) // txn) * txn
-            paid += int(np.sum(last - first))
-
-        descs = node.geometry.n_descriptors if node.geometry else 1
-        cycles = (
-            cfg.dma_latency_cycles
-            + cfg.dma_issue_cycles * max(1, descs)
-            + paid / cfg.dram_bytes_per_cycle
-        )
-        return cycles, payload, paid
+        paid = paid_bytes_at(node.geometry, base + flat.chunk_offsets() * eb, cfg)
+        return transfer_cycles(node.geometry, paid, cfg), flat.elems * eb, paid
 
     # --- compute ---------------------------------------------------------------
     def _view_dims(

@@ -24,14 +24,6 @@ class MainMemoryError(MachineError):
     """Main-memory allocation or out-of-bounds access failure."""
 
 
-class DmaError(MachineError):
-    """Malformed DMA descriptor (bad stride/block/bounds/reply word)."""
-
-
-class RegCommError(MachineError):
-    """Illegal register-communication operation on the CPE mesh."""
-
-
 class PipelineError(MachineError):
     """Malformed instruction sequence given to the pipeline scheduler."""
 
@@ -90,8 +82,8 @@ class SanitizerError(MachineError, CodegenError):
     ``--sanitize`` or an explicit ``sanitize=True``); the same program
     without the sanitizer would silently corrupt simulated machine
     state.  Structured fields name the failed ``check`` (``spm-oob``,
-    ``mem-oob``, ``uninit-read``, ``phase-race``, ``regcomm-deadlock``,
-    ``regcomm-mismatch``), the IR ``node``, the ``buffer`` involved,
+    ``mem-oob``, ``uninit-read``, ``phase-race``,
+    ``timing-mismatch``), the IR ``node``, the ``buffer`` involved,
     and -- where meaningful -- the offending ``byte_range``.
 
     Also a :class:`CodegenError`: sanitizer failures happen while

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import ReproError
 

@@ -9,7 +9,6 @@ ones.  The benchmarks in ``benchmarks/`` are thin wrappers over these.
 from __future__ import annotations
 
 import statistics
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -31,13 +30,7 @@ from ..workloads import (
     listing2_shapes,
     subsample,
 )
-from .runner import (
-    CONV_RUNNERS,
-    run_conv_explicit,
-    run_conv_implicit,
-    run_conv_winograd,
-    run_gemm,
-)
+from .runner import CONV_RUNNERS, run_gemm
 from .report import (
     Table,
     resilience_note,

@@ -2,32 +2,19 @@
 
 The hardware the paper measures on is inaccessible; this subpackage is
 the deterministic, transaction- and pipeline-accurate stand-in (see
-DESIGN.md Sec. 1 for the substitution argument).
+DESIGN.md Sec. 1 for the substitution argument): the machine
+parameters, address-accurate main memory, the DMA arithmetic both the
+simulator and the cost model charge, SPM planning, the dual-issue
+pipeline scheduler, the vector ISA, the sanitizer and the trace.  The
+executor (:mod:`repro.codegen.executor`) drives it one core group at a
+time.
 """
 
-from .chip import Noc, Shard, run_sharded, shard_extent
-from .cluster import CpeCluster, split_tiles
 from .config import SW26010, MachineConfig, default_config
-from .cpe import Cpe
-from .dma import (
-    MEM_TO_SPM,
-    SPM_TO_MEM,
-    DmaCost,
-    DmaDescriptor,
-    DmaEngine,
-    ReplyWord,
-    cg_tile_descriptors,
-)
+from .dma import MEM_TO_SPM, SPM_TO_MEM
 from .memory import Buffer, MainMemory, transaction_bytes
 from .pipeline import Instr, ScheduleResult, schedule, steady_state_cycles
-from .regcomm import CommPattern, RegCommMesh, gemm_broadcast_plan
-from .sanitizer import (
-    MachineSanitizer,
-    RegCommChecker,
-    resolve_sanitize,
-    sanitize_default,
-    set_sanitize,
-)
+from .sanitizer import MachineSanitizer, resolve_sanitize, sanitize_default, set_sanitize
 from .spm import SpmAllocator, SpmBuffer, SpmPlan, partition_extent, tile_bytes_per_cpe
 from .trace import SimReport, Trace, TraceEvent
 from .trace_export import render_timeline, to_chrome_trace
@@ -48,28 +35,12 @@ __all__ = [
     "ScheduleResult",
     "schedule",
     "steady_state_cycles",
-    "CommPattern",
-    "RegCommMesh",
     "MachineSanitizer",
-    "RegCommChecker",
     "set_sanitize",
     "sanitize_default",
     "resolve_sanitize",
-    "gemm_broadcast_plan",
-    "DmaDescriptor",
-    "DmaEngine",
-    "DmaCost",
-    "ReplyWord",
     "MEM_TO_SPM",
     "SPM_TO_MEM",
-    "cg_tile_descriptors",
-    "Cpe",
-    "CpeCluster",
-    "split_tiles",
-    "Noc",
-    "Shard",
-    "shard_extent",
-    "run_sharded",
     "SimReport",
     "Trace",
     "TraceEvent",

@@ -1,230 +1,165 @@
-"""DMA engine of one core group.
+"""DMA arithmetic of one core group: Eq. (1) of Sec. 4.6.
 
 CPEs move data between main memory and their SPM through asynchronous
-DMA in either *continuous* or *strided* mode (Sec. 4.1): a descriptor
-names a main-memory base address, a total size, a contiguous block
-size, and a stride (the byte *gap* between consecutive blocks -- e.g.
-the paper's column-tile example uses ``block = M/8`` elements and
-``stride = 7M/8``).
+DMA in either *continuous* or *strided* mode (Sec. 4.1).  A CG-level
+tile transfer is a run of contiguous blocks of ``block_bytes`` each,
+starting ``block_bytes + stride_bytes`` apart; DMA inference
+(Sec. 4.5.1) serves each block by the cluster's 8 columns, CPE
+``(rid, cid)`` transferring its 1/8 column slice as its own descriptor
+block -- the paper's column-tile example has ``block = M/8`` elements
+and ``stride = 7M/8``.
 
-Timing is DRAM-transaction accurate (Sec. 4.6): memory is read in
-128-byte transactions and a touched transaction is paid in full, so a
-badly aligned or finely strided access pattern pays real *waste* bytes.
-This is exactly the effect Eq. (1) of the cost model approximates, and
-keeping the simulator's accounting exact (per actual address) while the
-model assumes 128-byte-aligned first blocks is one source of the
+Memory is read in 128-byte DRAM transactions and a touched transaction
+is paid in full, so every per-CPE slice is rounded out to whole
+transactions: a badly aligned or finely strided access pays real
+*waste* bytes.  Both scores use this one arithmetic: the cost model
+charges it with the first block transaction-aligned
+(:func:`paid_bytes`), the simulator at the real start address of every
+block (:func:`paid_bytes_at`); the difference is one source of the
 model-vs-reality gap measured in Fig. 9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+import itertools
+import math
+from collections import Counter
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from ..errors import DmaError
-from .config import MachineConfig, default_config
-from .memory import MainMemory, transaction_bytes
+from .config import MachineConfig
+from .spm import partition_extent
+
+if TYPE_CHECKING:
+    from ..ir.nodes import DmaGeometry
 
 #: transfer directions
 MEM_TO_SPM = "mem_to_spm"
 SPM_TO_MEM = "spm_to_mem"
 
 
-@dataclass(frozen=True)
-class DmaDescriptor:
-    """One CPE's DMA request.
+def _column_slices(
+    geo: DmaGeometry, cfg: MachineConfig
+) -> List[Tuple[int, int]]:
+    """``(offset, length)`` in bytes of the per-CPE slices of one block.
 
-    ``size`` is the total payload in bytes; it is carved into blocks of
-    ``block`` bytes placed ``block + stride`` apart in main memory
-    (``stride`` = gap).  ``size`` needs not be a multiple of ``block``;
-    the final block is short.
+    Each CG-level block is served by the cluster's columns: CPE (rid,
+    cid) transfers its 1/8 column slice as its own descriptor block.
     """
-
-    mem_addr: int
-    size: int
-    block: int
-    stride: int
-    direction: str
-    cpe_id: int = 0
-
-    def __post_init__(self) -> None:
-        if self.direction not in (MEM_TO_SPM, SPM_TO_MEM):
-            raise DmaError(f"bad direction {self.direction!r}")
-        if self.size < 0 or self.block <= 0 or self.stride < 0:
-            raise DmaError(
-                f"bad geometry size={self.size} block={self.block} "
-                f"stride={self.stride}"
-            )
-        if self.mem_addr < 0:
-            raise DmaError("negative main-memory address")
-
-    def blocks(self) -> List[Tuple[int, int]]:
-        """(address, length) of each main-memory block touched."""
-        if self.size == 0:
-            return []
-        if self.stride == 0:
-            return [(self.mem_addr, self.size)]
-        out: List[Tuple[int, int]] = []
-        remaining = self.size
-        addr = self.mem_addr
-        step = self.block + self.stride
-        while remaining > 0:
-            length = min(self.block, remaining)
-            out.append((addr, length))
-            remaining -= length
-            addr += step
-        return out
+    eb = cfg.dtype_bytes
+    block_elems = max(1, geo.block_bytes // eb)
+    return [
+        (c0 * eb, cl * eb)
+        for c0, cl in partition_extent(block_elems, cfg.cluster_cols)
+        if cl > 0
+    ]
 
 
-@dataclass
-class ReplyWord:
-    """Completion counter a CPE spins on (``swDMAWait``)."""
+def _slice_rounding(
+    geo: DmaGeometry, cfg: MachineConfig
+) -> Tuple[int, int, Counter]:
+    """What the paid bytes of one block depend on: the bytes its
+    slices span, the number of interior slice boundaries, and how many
+    of those boundaries fall at each offset modulo the transaction.
 
-    count: int = 0
-
-    def bump(self, n: int = 1) -> None:
-        self.count += n
-
-    def satisfied(self, times: int) -> bool:
-        return self.count >= times
-
-
-@dataclass(frozen=True)
-class DmaCost:
-    """Timing outcome of one batch of descriptors."""
-
-    cycles: float
-    payload_bytes: int
-    paid_bytes: int
-
-    @property
-    def waste_bytes(self) -> int:
-        return self.paid_bytes - self.payload_bytes
-
-
-class DmaEngine:
-    """Timing + functional model of one CG's DMA path.
-
-    The engine itself is stateless about time: it computes how long a
-    batch takes; the executor owns the timeline and decides when the
-    reply word fires (that is how asynchronous overlap / double
-    buffering is simulated).
+    The slices are contiguous, so a block pays each transaction it
+    spans once, plus once more for every interior boundary that does
+    not fall on a transaction boundary (the transaction it cuts is
+    fetched by both neighbours).
     """
-
-    def __init__(
-        self,
-        memory: MainMemory,
-        config: Optional[MachineConfig] = None,
-    ) -> None:
-        self.memory = memory
-        self.config = config or default_config()
-
-    # --- timing ------------------------------------------------------------
-    def cost(self, descriptors: Sequence[DmaDescriptor]) -> DmaCost:
-        """Cycles for a batch of descriptors issued together.
-
-        All CPEs of a cluster issue their descriptors simultaneously
-        (the common case: one ``DMA_CG`` expanded to 64 ``DMA_CPE``), so
-        the batch shares one start-up latency; the transmission term is
-        the *total* transaction-padded traffic over the CG's memory
-        controller at peak bandwidth.
-        """
-        cfg = self.config
-        payload = 0
-        paid = 0
-        for desc in descriptors:
-            for addr, length in desc.blocks():
-                p, _ = transaction_bytes(addr, length, cfg.dram_transaction_bytes)
-                payload += length
-                paid += p
-        if paid == 0:
-            return DmaCost(0.0, 0, 0)
-        cycles = (
-            cfg.dma_latency_cycles
-            + cfg.dma_issue_cycles
-            + paid / cfg.dram_bytes_per_cycle
-        )
-        return DmaCost(cycles, payload, paid)
-
-    # --- functional ------------------------------------------------------------
-    def gather(self, desc: DmaDescriptor) -> np.ndarray:
-        """Execute a mem->SPM descriptor; returns the payload bytes in
-        SPM order (blocks concatenated)."""
-        if desc.direction != MEM_TO_SPM:
-            raise DmaError("gather requires a mem_to_spm descriptor")
-        parts = [
-            self.memory.read_bytes(addr, length) for addr, length in desc.blocks()
-        ]
-        if not parts:
-            return np.empty(0, dtype=np.uint8)
-        return np.concatenate(parts)
-
-    def scatter(self, desc: DmaDescriptor, payload: np.ndarray) -> None:
-        """Execute an SPM->mem descriptor, writing ``payload`` (flat
-        bytes in SPM order) back to the strided main-memory pattern."""
-        if desc.direction != SPM_TO_MEM:
-            raise DmaError("scatter requires a spm_to_mem descriptor")
-        payload = np.asarray(payload, dtype=np.uint8).reshape(-1)
-        if payload.nbytes != desc.size:
-            raise DmaError(
-                f"payload of {payload.nbytes} B != descriptor size {desc.size} B"
-            )
-        offset = 0
-        for addr, length in desc.blocks():
-            self.memory.write_bytes(addr, payload[offset : offset + length])
-            offset += length
+    txn = cfg.dram_transaction_bytes
+    slices = _column_slices(geo, cfg)
+    span = sum(length for _, length in slices)
+    cuts = Counter(c_off % txn for c_off, _ in slices[1:])
+    return span, len(slices) - 1, cuts
 
 
-def cg_tile_descriptors(
-    base_addr: int,
-    rows: int,
-    cols: int,
-    row_stride_bytes: int,
-    elem_bytes: int,
-    direction: str,
-    *,
-    grid_rows: int,
-    grid_cols: int,
-) -> List[DmaDescriptor]:
-    """Expand a 2-D CG-level tile access into per-CPE descriptors.
+def drift_period(geo: DmaGeometry, cfg: MachineConfig) -> int:
+    """Blocks after which the start offsets of consecutive blocks,
+    modulo the DRAM transaction, repeat: ``lcm(step, txn) / step``."""
+    txn = cfg.dram_transaction_bytes
+    step = geo.block_bytes + geo.stride_bytes
+    g = math.gcd(step % txn if step % txn else txn, txn)
+    return txn // g
 
-    The ``rows x cols`` tile (element strides: ``row_stride_bytes``
-    between rows, contiguous within a row) is partitioned into a
-    ``grid_rows x grid_cols`` grid; CPE ``(rid, cid)`` transfers the
-    ``(rid, cid)`` sub-tile.  This is the DMA-inference rule of
-    Sec. 4.5.1 in executable form; the IR pass emits exactly these
-    descriptors.
+
+def paid_bytes_at(
+    geo: DmaGeometry, addrs: np.ndarray, cfg: MachineConfig
+) -> int:
+    """The transaction-rounded bytes of blocks of ``geo`` starting at
+    the byte addresses ``addrs`` (any order, any spacing): every
+    per-CPE column slice of every block rounded out to whole
+    transactions."""
+    txn = cfg.dram_transaction_bytes
+    span, interior, cuts = _slice_rounding(geo, cfg)
+    aligned = np.zeros(txn, dtype=np.int64)
+    for offset, count in cuts.items():
+        aligned[offset] = count
+    addrs = np.asarray(addrs, dtype=np.int64)
+    spanned = (addrs + span - 1) // txn - addrs // txn + 1
+    return txn * int(np.sum(spanned + interior - aligned[-addrs % txn]))
+
+
+def paid_bytes(
+    geo: DmaGeometry,
+    starts: Iterable[int],
+    blocks: int,
+    cfg: MachineConfig,
+) -> List[int]:
+    """The transaction-rounded bytes -- Eq. (1)'s traffic including its
+    waste term -- of ``blocks`` consecutive blocks of ``geo``, once per
+    first-block offset in ``starts`` (bytes past a DRAM transaction
+    boundary).
+
+    The closed form of :func:`paid_bytes_at` for evenly spaced blocks:
+    block ``i`` starts ``i * (block + stride)`` bytes after the first,
+    so a start offset walks a cycle of :func:`drift_period` offsets.
+    Each cycle's block costs are computed once, and a run of blocks
+    along it is whole cycles plus one prefix-sum difference.  Exact for
+    every ``blocks``.
     """
-    from .spm import partition_extent  # local import to avoid cycle
+    txn = cfg.dram_transaction_bytes
+    step = geo.block_bytes + geo.stride_bytes
+    period = drift_period(geo, cfg)
+    whole, rest = divmod(blocks, period)
+    span, interior, cuts = _slice_rounding(geo, cfg)
 
-    descs: List[DmaDescriptor] = []
-    row_parts = partition_extent(rows, grid_rows)
-    col_parts = partition_extent(cols, grid_cols)
-    for rid in range(grid_rows):
-        r0, rlen = row_parts[rid]
-        for cid in range(grid_cols):
-            c0, clen = col_parts[cid]
-            cpe = rid * grid_cols + cid
-            if rlen == 0 or clen == 0:
-                continue
-            block = clen * elem_bytes
-            addr = base_addr + r0 * row_stride_bytes + c0 * elem_bytes
-            stride = row_stride_bytes - block
-            if stride < 0:
-                raise DmaError(
-                    f"tile wider than its row stride: block={block} "
-                    f"row_stride={row_stride_bytes}"
-                )
-            descs.append(
-                DmaDescriptor(
-                    mem_addr=addr,
-                    size=rlen * block,
-                    block=block,
-                    stride=stride,
-                    direction=direction,
-                    cpe_id=cpe,
-                )
+    def block_cost(base: int) -> int:
+        spanned = (base + span - 1) // txn + 1
+        return txn * (spanned + interior - cuts[-base % txn])
+
+    if period == 1:  # every block starts at the same offset
+        return [blocks * block_cost(start % txn) for start in starts]
+    # cycle anchor -> (position of each offset on the cycle, prefix sums
+    # of the block costs along it, walked twice)
+    cycles: Dict[int, Tuple[Dict[int, int], List[int]]] = {}
+    out = []
+    for start in starts:
+        start %= txn
+        anchor = start % (txn // period)
+        cycle = cycles.get(anchor)
+        if cycle is None:
+            offsets = [(anchor + i * step) % txn for i in range(period)]
+            costs = [block_cost(base) for base in offsets]
+            cycle = cycles[anchor] = (
+                {base: i for i, base in enumerate(offsets)},
+                list(itertools.accumulate(costs + costs, initial=0)),
             )
-    return descs
+        position, prefix = cycle
+        k = position[start]
+        out.append(whole * prefix[period] + prefix[k + rest] - prefix[k])
+    return out
+
+
+def transfer_cycles(
+    geo: DmaGeometry, paid: int, cfg: MachineConfig
+) -> float:
+    """Eq. (1) for one CG-level transfer paying ``paid`` bytes: the
+    start-up latency, one issue slot per descriptor, and the paid
+    traffic at peak bandwidth."""
+    return (
+        cfg.dma_latency_cycles
+        + cfg.dma_issue_cycles * max(1, geo.n_descriptors)
+        + paid / cfg.dram_bytes_per_cycle
+    )

@@ -4,7 +4,7 @@ The SW26010 is cache-free on the CPE side: every main-memory access goes
 through the DMA engine (or the slow gld/gst path) in units of 128-byte
 DRAM *transactions*.  To model transaction waste faithfully the memory
 model is address-accurate: tensors are allocated at real byte offsets in
-one flat ``numpy`` byte array, and DMA descriptors operate on those
+one flat ``numpy`` byte array, and DMA transfers are costed at those
 offsets.  Functional reads/writes are plain NumPy views -- no copies
 beyond what the simulated DMA itself performs.
 """
@@ -153,25 +153,6 @@ class MainMemory:
     def read(self, buf: Buffer) -> np.ndarray:
         """Copy of the buffer contents (callers must not alias storage)."""
         return self.view(buf).copy()
-
-    # --- raw byte access (used by the DMA engine) -------------------------
-    def read_bytes(self, addr: int, nbytes: int) -> np.ndarray:
-        self._check_range(addr, nbytes)
-        return self._storage[addr : addr + nbytes]
-
-    def write_bytes(self, addr: int, data: np.ndarray) -> None:
-        data = np.asarray(data, dtype=np.uint8)
-        self._check_range(addr, data.nbytes)
-        self._storage[addr : addr + data.nbytes] = data
-
-    def _check_range(self, addr: int, nbytes: int) -> None:
-        if nbytes < 0:
-            raise MainMemoryError("negative byte count")
-        if addr < 0 or addr + nbytes > self.capacity:
-            raise MainMemoryError(
-                f"access [{addr}, {addr + nbytes}) outside memory "
-                f"[0, {self.capacity})"
-            )
 
 
 def transaction_bytes(addr: int, nbytes: int, txn: int) -> Tuple[int, int]:

@@ -3,15 +3,13 @@
 Real SW26010 kernels fail in ways a timing simulator happily ignores: a
 DMA descriptor that runs past its SPM buffer silently corrupts the
 neighbouring buffer, a compute phase that touches the tile a prefetch
-is still streaming into reads half-old data, a ``get`` with no matching
-``put`` deadlocks the register mesh.  The sanitizer mirrors ASan/TSan
-practice for this simulated machine: it keeps *shadow state* beside the
-real functional state -- per-phase written-byte masks for every SPM
-buffer, the set of (buffer, phase) pairs with an in-flight DMA, the
-main-memory window each tensor is bound to, and the outstanding
-register-bus transaction -- and raises a structured
-:class:`~repro.errors.SanitizerError` naming the IR node, the buffer
-and the byte range the moment an access violates them.
+is still streaming into reads half-old data.  The sanitizer mirrors
+ASan/TSan practice for this simulated machine: it keeps *shadow state*
+beside the real functional state -- per-phase written-byte masks for
+every SPM buffer, the set of (buffer, phase) pairs with an in-flight
+DMA and the main-memory window each tensor is bound to -- and raises a
+structured :class:`~repro.errors.SanitizerError` naming the IR node,
+the buffer and the byte range the moment an access violates them.
 
 The sanitizer is strictly opt-in (``REPRO_SANITIZE=1`` in the
 environment, ``--sanitize`` on the CLI, or ``sanitize=True`` on
@@ -34,10 +32,6 @@ Checks (the ``check`` field of every :class:`SanitizerError`):
 ``phase-race``
     compute or a synchronous DMA touching the (buffer, phase) a
     pipelined loop currently has a DMA in flight on.
-``regcomm-deadlock`` / ``regcomm-mismatch``
-    a second ``put`` before the matching ``get`` drains the bus, a
-    ``get`` with nothing outstanding, or a ``get``/broadcast whose
-    pattern disagrees with the outstanding ``put``.
 ``timing-mismatch``
     the data-free timing path
     (:meth:`~repro.codegen.executor.CompiledKernel.time_only`) reporting
@@ -356,85 +350,8 @@ class MachineSanitizer:
         return f"sanitizer: {self.checks} checks, 0 failures"
 
 
-class RegCommChecker:
-    """Shadow protocol state for the register-communication mesh.
-
-    The real mesh has no flow control: a producer's ``put`` blocks
-    until every consumer's ``get`` drains the bus, so a second ``put``
-    before the matching ``get`` -- or a ``get`` with nothing
-    outstanding, or with a different pattern than the producer used --
-    deadlocks the cluster.  The checker models the bus as a one-deep
-    mailbox per core group and raises structured errors where real
-    hardware would hang.
-    """
-
-    def __init__(self) -> None:
-        self.outstanding: Optional[object] = None
-        self.transactions = 0
-
-    def record_put(self, pattern) -> None:
-        self.transactions += 1
-        if self.outstanding is not None:
-            fail(
-                "regcomm-deadlock",
-                f"put on {pattern} while put on {self.outstanding} has "
-                f"not been drained by a get: producers block forever",
-                node="regcomm.put",
-            )
-        self.outstanding = pattern
-
-    def record_get(self, pattern) -> None:
-        self.transactions += 1
-        if self.outstanding is None:
-            fail(
-                "regcomm-deadlock",
-                f"get on {pattern} with no outstanding put: "
-                f"consumers spin forever",
-                node="regcomm.get",
-            )
-        if pattern != self.outstanding:
-            fail(
-                "regcomm-mismatch",
-                f"get on {pattern} does not match the outstanding "
-                f"put on {self.outstanding}",
-                node="regcomm.get",
-            )
-        self.outstanding = None
-
-    def record_broadcast(self, grid, pattern, config) -> None:
-        """Mismatched send/receive: the producer lane of the declared
-        pattern put nothing on the bus."""
-        self.transactions += 1
-        rows, cols = config.cluster_rows, config.cluster_cols
-        if len(grid) != rows or any(len(row) != cols for row in grid):
-            return  # malformed grid: leave it to the mesh's own error
-        if pattern.axis == "row":
-            if pattern.producer >= cols:
-                return
-            missing = [
-                r for r in range(rows) if grid[r][pattern.producer] is None
-            ]
-            lane = f"column {pattern.producer}"
-        else:
-            if pattern.producer >= rows:
-                return
-            missing = [
-                c for c in range(cols) if grid[pattern.producer][c] is None
-            ]
-            lane = f"row {pattern.producer}"
-        if missing:
-            fail(
-                "regcomm-mismatch",
-                f"broadcast on {pattern}: producer {lane} put no data "
-                f"on the bus in lanes {missing} (mismatched "
-                f"send/receive)",
-                node="regcomm.broadcast",
-            )
-
-
 __all__ = [
     "MachineSanitizer",
-    "RegCommChecker",
     "set_sanitize",
     "sanitize_default",
     "resolve_sanitize",

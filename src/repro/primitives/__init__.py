@@ -3,12 +3,12 @@
 Everything above this layer (DSL, scheduler, IR optimizer, autotuner)
 is hardware-agnostic; everything below (:mod:`repro.machine`) is the
 simulated silicon.  The primitives encapsulate register communication,
-dual-pipeline scheduling, vectorization and DMA exactly as the paper's
-hand-written assembly kernels do (Sec. 4.1, Appendix 9).
+dual-pipeline scheduling and vectorization of the GEMM micro-kernel
+exactly as the paper's hand-written assembly kernels do (Sec. 4.1,
+Appendix 9); DMA is costed by :mod:`repro.machine.dma`.
 """
 
 from .asm_emitter import emit_all_kernels, emit_inner_loop, kernel_summary
-from .dma_ops import DmaTransfer, DmaUnit
 from .gemm_kernel import (
     ALL_VARIANTS,
     COL_MAJOR,
@@ -31,8 +31,6 @@ __all__ = [
     "emit_all_kernels",
     "emit_inner_loop",
     "kernel_summary",
-    "DmaUnit",
-    "DmaTransfer",
     "GemmCost",
     "KernelVariant",
     "ALL_VARIANTS",

@@ -32,12 +32,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..dsl.compute import (
-    REDUCTION,
-    ComputeDef,
-    ShiftedDim,
-    TensorSpec,
-)
+from ..dsl.compute import REDUCTION, ComputeDef, ShiftedDim
 from ..dsl.schedule import ScheduleStrategy
 from ..errors import IllegalCandidateError, LoweringError
 from ..ir.expr import AffineExpr

@@ -70,8 +70,7 @@ class TestErrorHierarchy:
         assert issubclass(E.IllegalCandidateError, E.ScheduleError)
 
     def test_machine_errors_grouped(self):
-        for cls in (E.SpmCapacityError, E.DmaError, E.RegCommError,
-                    E.PipelineError, E.MainMemoryError):
+        for cls in (E.SpmCapacityError, E.PipelineError, E.MainMemoryError):
             assert issubclass(cls, E.MachineError)
 
     def test_cache_error_importable(self):

@@ -6,6 +6,8 @@ field for field, for every legal candidate of whole schedule spaces.
 Under the sanitizer it runs both paths and fails on any difference.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,17 @@ from repro.codegen.executor import CompiledKernel, _TimingState
 from repro.dsl import ScheduleSpace
 from repro.engine import CandidatePipeline, SimulatorEvaluator, synthetic_feeds
 from repro.errors import SanitizerError
+from repro.machine.config import default_config
+from repro.machine.dma import transfer_cycles
 from repro.ops import conv_implicit, conv_winograd
 from repro.ops.conv_common import ConvParams
 from repro.ops.gemm import make_compute as gemm_compute
 from repro.ops.gemm import make_space as gemm_space
 
+from ..properties.test_dma_floor_properties import block_starts, reference_paid
 from .test_executor_errors import _feeds, compiled
+
+CFG = default_config()
 
 
 def _gemm():
@@ -51,6 +58,42 @@ def test_time_only_equals_run_on_every_candidate(kind):
         assert fast == ck.run(feeds).report, candidate.strategy
         checked += 1
     assert checked == pipeline.stats.legal == space.size()
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_paid_bytes_match_reference_on_every_transfer(kind, monkeypatch):
+    """Every transfer the simulator costs on every candidate of the
+    space pays exactly the slice-by-slice reference at the real start
+    address of each of its blocks, multi-level strided ones included,
+    and is charged Eq. (1) on those bytes."""
+    compute, space = SPACES[kind]()
+    costed = []
+    original = _TimingState._transfer_cost
+
+    def recording(self, node, base):
+        cost = original(self, node, base)
+        costed.append((self.ck.storage_shapes[node.access.buffer], node, base, cost))
+        return cost
+
+    monkeypatch.setattr(_TimingState, "_transfer_cost", recording)
+    feeds = synthetic_feeds(compute)
+    candidates = multi_level = 0
+    for candidate in CandidatePipeline(compute, space).candidates():
+        CompiledKernel(candidate.kernel, compute, sanitize=False).time_only(feeds)
+        candidates += 1
+    assert candidates == space.size()
+    for shape, node, base, (cycles, payload, paid) in costed:
+        geo = node.geometry
+        lengths = node.access.lengths
+        expected = reference_paid(geo, block_starts(shape, lengths, base))
+        assert paid == expected, (kind, lengths, shape, base)
+        assert payload == math.prod(lengths) * CFG.dtype_bytes
+        assert cycles == transfer_cycles(geo, expected, CFG)
+        multi_level += geo.n_descriptors > 1
+    assert costed
+    # GEMM and Winograd operands are matrices (Winograd's batched), so
+    # only the implicit-conv tiles stride on more than one level
+    assert (multi_level > 0) == (kind == "implicit")
 
 
 class _NeverHit(dict):

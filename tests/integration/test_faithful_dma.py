@@ -1,87 +1,86 @@
-"""Cross-check the executor's CG-level data movement against the
-faithful per-CPE path: expanding an inferred DMA node into 64 per-CPE
-descriptors and executing them on the cluster must land exactly the
-data the executor's tile slicing produces."""
+"""Cross-check the executor's CG-level data movement against the per-CPE
+view the DMA arithmetic charges: splitting every transfer of a real
+kernel into its blocks (``flatten_access``: chunk offsets, chunk length,
+outer strides) and each block into the cluster's column slices must
+address exactly the data NumPy slicing of the tensor yields."""
 
 import numpy as np
-import pytest
 
-from repro.dsl import ScheduleSpace
-from repro.ir import DmaCgNode, find_all
-from repro.machine.cluster import CpeCluster, split_tiles
-from repro.machine.dma import MEM_TO_SPM, cg_tile_descriptors
-from repro.machine.memory import MainMemory
-from repro.optimizer.dma_inference import flatten_access, infer_dma, storage_shapes
-from repro.scheduler.lower import lower_strategy
+from repro.codegen.executor import CompiledKernel, _TimingState
+from repro.engine import CandidatePipeline, synthetic_feeds
+from repro.machine.config import default_config
+from repro.machine.spm import partition_extent
+from repro.ops import conv_implicit
+from repro.ops.conv_common import ConvParams
+from repro.ops.gemm import make_compute as gemm_compute
+from repro.ops.gemm import make_space as gemm_space
+from repro.optimizer.dma_inference import flatten_access
 
-from ..scheduler.test_lower import gemm_cd
+CFG = default_config()
 
 
-def build_kernel(M=64, N=48, K=32, tm=32, tn=24, tk=16):
-    cd = gemm_cd(M, N, K)
-    sp = ScheduleSpace(cd)
-    sp.split("M", [tm])
-    sp.split("N", [tn])
-    sp.split("K", [tk])
-    kernel = infer_dma(lower_strategy(cd, sp.strategy()), cd)
-    return cd, kernel
+def executed_transfers(compute, kernel, monkeypatch):
+    """(transfer node, loop environment) of every transfer the executor
+    runs, in program order."""
+    seen = []
+    original = _TimingState._dma_cost
+
+    def recording(self, node, env):
+        seen.append((node, dict(env)))
+        return original(self, node, env)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_TimingState, "_dma_cost", recording)
+        CompiledKernel(kernel, compute, sanitize=False).time_only(
+            synthetic_feeds(compute)
+        )
+    return seen
 
 
 class TestFaithfulDma:
-    def test_per_cpe_descriptors_reassemble_executor_tile(self):
-        """For each 2-D-flattenable DMA access in a real kernel: gather
-        through 64 per-CPE descriptors on the cluster, reassemble, and
+    def test_per_cpe_descriptors_reassemble_executor_tile(self, monkeypatch):
+        """For every transfer of real GEMM and implicit-conv kernels:
+        gather each CPE's share -- its rows of blocks over the cluster
+        rows, its column slice of each block over the cluster columns --
+        from the flat tensor storage by address, reassemble, and
         compare against direct NumPy slicing of the tensor."""
-        cd, kernel = build_kernel()
-        shapes = storage_shapes(kernel, cd)
+        params = ConvParams(batch=1, ni=8, no=16, ri=8, ci=8, pad=1)
+        gemm = gemm_compute(72, 40, 56)
+        implicit = conv_implicit.make_compute(params)
+        cases = [
+            (gemm, gemm_space(gemm)),
+            (implicit, conv_implicit.make_space(params)),
+        ]
         rng = np.random.default_rng(0)
-        mem = MainMemory(1 << 22)
-        cluster = CpeCluster(mem)
-        data = {}
-        for name, shape in shapes.items():
-            buf = mem.alloc(name, shape)
-            arr = rng.standard_normal(shape).astype(np.float32)
-            mem.write(buf, arr)
-            data[name] = (buf, arr)
-
-        env = {"cM": 1, "cN": 0, "cK": 1}
-        checked = 0
-        for dma in find_all(kernel, DmaCgNode):
-            if dma.direction != MEM_TO_SPM:
-                continue
-            buf, arr = data[dma.access.buffer]
-            offs = [off.evaluate(env) for off, _ in dma.access.dims]
-            lens = list(dma.access.lengths)
-            flat = flatten_access(tuple(lens), arr.shape)
-            if flat.outer_lengths and len(flat.outer_lengths) > 1:
-                continue  # multi-level strides are issued as N descriptors
-            rows = flat.outer_lengths[0] if flat.outer_lengths else 1
-            cols = flat.chunk_elems
-            row_stride = flat.outer_strides[0] if flat.outer_strides else cols
-            base = buf.elem_addr(tuple(offs))
-            descs = cg_tile_descriptors(
-                base, rows, cols, row_stride * 4, 4, MEM_TO_SPM,
-                grid_rows=8, grid_cols=8,
-            )
-            cluster.dma_in(descs, spm_offset=0)
-            # reassemble the 8x8 distributed tile from the scratch pads
-            expect2d = arr[
-                tuple(slice(o, o + l) for o, l in zip(offs, lens))
-            ].reshape(rows, cols)
-            tiles = {}
-            from repro.machine.spm import partition_extent
-
-            rparts = partition_extent(rows, 8)
-            cparts = partition_extent(cols, 8)
-            for rid, (r0, rl) in enumerate(rparts):
-                for cid, (c0, cl) in enumerate(cparts):
-                    if rl == 0 or cl == 0:
-                        continue
-                    got = cluster.cpe(rid, cid).spm_read(0, rl * cl)
+        checked = multi_level = 0
+        for compute, space in cases:
+            for candidate in CandidatePipeline(compute, space).candidates(limit=6):
+                ck = CompiledKernel(candidate.kernel, compute, sanitize=False)
+                data = {
+                    name: rng.standard_normal(shape).astype(np.float32)
+                    for name, shape in ck.storage_shapes.items()
+                }
+                for node, env in executed_transfers(compute, ck.kernel, monkeypatch):
+                    arr = data[node.access.buffer]
+                    offs = [off.evaluate(env) for off, _ in node.access.dims]
+                    lens = node.access.lengths
+                    flat = flatten_access(lens, arr.shape)
+                    base = int(np.ravel_multi_index(offs, arr.shape))
+                    starts = base + flat.chunk_offsets()
+                    rows, cols = len(starts), flat.chunk_elems
+                    expect = arr[
+                        tuple(slice(o, o + n) for o, n in zip(offs, lens))
+                    ].reshape(rows, cols)
+                    got = np.full((rows, cols), np.nan, dtype=np.float32)
+                    storage = arr.reshape(-1)
+                    for r0, rl in partition_extent(rows, CFG.cluster_rows):
+                        for c0, cl in partition_extent(cols, CFG.cluster_cols):
+                            for r in range(r0, r0 + rl):
+                                lo = starts[r] + c0
+                                got[r, c0 : c0 + cl] = storage[lo : lo + cl]
                     np.testing.assert_array_equal(
-                        got.reshape(rl, cl),
-                        expect2d[r0 : r0 + rl, c0 : c0 + cl],
-                        err_msg=f"{dma.access.buffer} CPE ({rid},{cid})",
+                        got, expect, err_msg=f"{node.access.buffer} at {env}"
                     )
-            checked += 1
-        assert checked >= 2  # at least A and B were cross-checked
+                    checked += 1
+                    multi_level += len(flat.outer_lengths) > 1
+        assert checked > 100 and multi_level > 0

@@ -1,224 +1,153 @@
-"""Tests for the DMA engine: descriptor geometry, transaction-accurate
-timing, and functional gather/scatter."""
+"""Tests for the shared DMA arithmetic: the per-CPE column slices DMA
+inference derives from a CG-level tile access (Sec. 4.5.1), and Eq. (1)
+charged on the transaction-rounded traffic of those slices at their
+real addresses."""
 
 import numpy as np
 import pytest
 
-from repro.errors import DmaError
+from repro.errors import IrError
+from repro.ir.expr import AffineExpr
+from repro.ir.nodes import DmaGeometry, TileAccess
 from repro.machine.config import default_config
-from repro.machine.dma import (
-    MEM_TO_SPM,
-    SPM_TO_MEM,
-    DmaDescriptor,
-    DmaEngine,
-    ReplyWord,
-    cg_tile_descriptors,
-)
-from repro.machine.memory import MainMemory
+from repro.machine.dma import paid_bytes, paid_bytes_at, transfer_cycles
+from repro.machine.spm import partition_extent
+from repro.optimizer.dma_inference import flatten_access, geometry_of
+
+CFG = default_config()
+EB = CFG.dtype_bytes
 
 
-def make_engine(capacity=1 << 20):
-    mem = MainMemory(capacity)
-    return mem, DmaEngine(mem)
+def evenly_spaced(n_blocks, block, stride, start=0, descs=1):
+    """Geometry, paid bytes and Eq. (1) cycles of ``n_blocks`` blocks
+    of ``block`` bytes, ``stride`` bytes apart, from byte ``start``."""
+    geo = DmaGeometry(n_blocks, block, stride, descs)
+    addrs = start + np.arange(n_blocks) * (block + stride)
+    paid = paid_bytes_at(geo, addrs, CFG)
+    return geo, paid, transfer_cycles(geo, paid, CFG)
 
 
-class TestDescriptor:
-    def test_contiguous_blocks(self):
-        d = DmaDescriptor(0, 1024, 256, 0, MEM_TO_SPM)
-        assert d.blocks() == [(0, 1024)]  # stride 0 -> one run
+def access(lengths, offsets=None):
+    offsets = offsets or (0,) * len(lengths)
+    return TileAccess(
+        "T", tuple((AffineExpr(o), n) for o, n in zip(offsets, lengths))
+    )
 
-    def test_strided_blocks(self):
-        d = DmaDescriptor(100, 96, 32, 96, MEM_TO_SPM)
-        assert d.blocks() == [(100, 32), (228, 32), (356, 32)]
 
-    def test_short_final_block(self):
-        d = DmaDescriptor(0, 70, 32, 32, MEM_TO_SPM)
-        blocks = d.blocks()
-        assert blocks[-1][1] == 70 - 2 * 32
-        assert sum(length for _, length in blocks) == 70
-
-    def test_zero_size(self):
-        assert DmaDescriptor(0, 0, 32, 0, MEM_TO_SPM).blocks() == []
-
-    def test_validation(self):
-        with pytest.raises(DmaError):
-            DmaDescriptor(0, 4, 4, 0, "sideways")
-        with pytest.raises(DmaError):
-            DmaDescriptor(0, 4, 0, 0, MEM_TO_SPM)
-        with pytest.raises(DmaError):
-            DmaDescriptor(-4, 4, 4, 0, MEM_TO_SPM)
-        with pytest.raises(DmaError):
-            DmaDescriptor(0, -1, 4, 0, MEM_TO_SPM)
+def cpe_slices(shape, lengths, offsets):
+    """Element addresses of every per-CPE column slice of a tile
+    access: the chunk start of each block plus its 1/8 column share."""
+    flat = flatten_access(lengths, shape)
+    base = int(np.ravel_multi_index(offsets, shape))
+    return [
+        (cid, base + int(start) + c0, cl)
+        for start in flat.chunk_offsets()
+        for cid, (c0, cl) in enumerate(
+            partition_extent(flat.chunk_elems, CFG.cluster_cols)
+        )
+        if cl
+    ]
 
 
 class TestTiming:
     def test_empty_batch_is_free(self):
-        _, eng = make_engine()
-        assert eng.cost([]).cycles == 0.0
+        """No blocks, no traffic, in either form of the arithmetic."""
+        geo = DmaGeometry(0, 512, 64, 1)
+        assert paid_bytes_at(geo, [], CFG) == 0
+        assert paid_bytes(geo, [0, 36, 64], 0, CFG) == [0, 0, 0]
 
     def test_latency_plus_bandwidth(self):
-        cfg = default_config()
-        _, eng = make_engine()
-        d = DmaDescriptor(0, 128 * 64, 128 * 64, 0, MEM_TO_SPM)
-        cost = eng.cost([d])
-        expected = (
-            cfg.dma_latency_cycles
-            + cfg.dma_issue_cycles
-            + d.size / cfg.dram_bytes_per_cycle
+        """An aligned contiguous transfer whose slices are whole
+        transactions pays exactly its payload."""
+        _, paid, cycles = evenly_spaced(1, 128 * 64, 0)
+        assert paid == 128 * 64
+        assert cycles == pytest.approx(
+            CFG.dma_latency_cycles
+            + CFG.dma_issue_cycles
+            + paid / CFG.dram_bytes_per_cycle
         )
-        assert cost.cycles == pytest.approx(expected)
-        assert cost.waste_bytes == 0
 
     def test_unaligned_access_pays_waste(self):
-        _, eng = make_engine()
-        aligned = eng.cost([DmaDescriptor(0, 4096, 4096, 0, MEM_TO_SPM)])
-        shifted = eng.cost([DmaDescriptor(64, 4096, 4096, 0, MEM_TO_SPM)])
-        assert shifted.paid_bytes > aligned.paid_bytes
-        assert shifted.cycles > aligned.cycles
+        _, aligned, aligned_cycles = evenly_spaced(1, 4096, 0, start=0)
+        _, shifted, shifted_cycles = evenly_spaced(1, 4096, 0, start=64)
+        assert aligned == 4096
+        assert shifted > aligned
+        assert shifted_cycles > aligned_cycles
 
     def test_fine_strides_waste_heavily(self):
-        """8-byte blocks each pay a 128 B transaction: 16x traffic."""
-        _, eng = make_engine()
-        d = DmaDescriptor(0, 1024, 8, 504, MEM_TO_SPM)
-        cost = eng.cost([d])
-        assert cost.paid_bytes == (1024 // 8) * 128
-        assert cost.waste_bytes == cost.paid_bytes - 1024
+        """8-byte blocks are two 4-byte CPE slices inside one 128 B
+        transaction, which both CPEs fetch: 32x the payload."""
+        _, paid, _ = evenly_spaced(128, 8, 504)
+        assert paid == 128 * 2 * 128
 
     def test_batch_shares_startup_latency(self):
-        cfg = default_config()
-        _, eng = make_engine()
-        descs = [
-            DmaDescriptor(i * 8192, 4096, 4096, 0, MEM_TO_SPM, cpe_id=i)
-            for i in range(64)
-        ]
-        batch = eng.cost(descs)
-        single = eng.cost([descs[0]])
-        # one latency for the whole batch, not 64
-        assert batch.cycles < 64 * single.cycles
-        assert batch.payload_bytes == 64 * 4096
+        """A CG-level transfer pays one start-up latency however many
+        descriptors it issues, plus one issue slot per descriptor."""
+        _, _, single = evenly_spaced(64, 4096, 4096, descs=1)
+        _, _, batch = evenly_spaced(64, 4096, 4096, descs=64)
+        assert batch - single == pytest.approx(63 * CFG.dma_issue_cycles)
+        assert batch < 2 * single
 
     def test_achieved_bandwidth_below_peak(self):
-        """The latency term keeps achieved bandwidth below peak; for
-        moderate transfers it lands in the ~2/3-of-peak regime the
-        paper's 22.6-vs-34 GB/s numbers reflect."""
-        cfg = default_config()
-        _, eng = make_engine()
-        # 64 CPEs x 4 KiB, strided rows typical of a tile load
-        descs = [
-            DmaDescriptor(i * 4096, 4096, 512, 512, MEM_TO_SPM, cpe_id=i)
-            for i in range(64)
-        ]
-        cost = eng.cost(descs)
-        achieved = cost.payload_bytes / cfg.cycles_to_seconds(cost.cycles)
-        assert achieved < cfg.dram_peak_bw
-        assert achieved > 0.4 * cfg.dram_peak_bw
-
-
-class TestFunctional:
-    def test_gather_contiguous(self):
-        mem, eng = make_engine()
-        buf = mem.alloc("a", (64,))
-        mem.write(buf, np.arange(64, dtype=np.float32))
-        d = DmaDescriptor(buf.addr, 64 * 4, 64 * 4, 0, MEM_TO_SPM)
-        got = eng.gather(d).view(np.float32)
-        np.testing.assert_array_equal(got, np.arange(64, dtype=np.float32))
-
-    def test_gather_strided_extracts_submatrix_column(self):
-        """Gathering the first 4 columns of each row of an 8x16 matrix."""
-        mem, eng = make_engine()
-        buf = mem.alloc("m", (8, 16))
-        data = np.arange(128, dtype=np.float32).reshape(8, 16)
-        mem.write(buf, data)
-        block = 4 * 4  # 4 floats
-        stride = 12 * 4  # skip remaining 12 floats of the row
-        d = DmaDescriptor(buf.addr, 8 * block, block, stride, MEM_TO_SPM)
-        got = eng.gather(d).view(np.float32).reshape(8, 4)
-        np.testing.assert_array_equal(got, data[:, :4])
-
-    def test_scatter_roundtrip(self):
-        mem, eng = make_engine()
-        buf = mem.alloc("m", (8, 16))
-        mem.write(buf, np.zeros((8, 16), np.float32))
-        payload = np.arange(32, dtype=np.float32)
-        block, stride = 4 * 4, 12 * 4
-        d = DmaDescriptor(buf.addr, payload.nbytes, block, stride, SPM_TO_MEM)
-        eng.scatter(d, payload.view(np.uint8))
-        out = mem.read(buf)
-        np.testing.assert_array_equal(out[:, :4].ravel(), payload)
-        assert (out[:, 4:] == 0).all()
-
-    def test_direction_enforced(self):
-        mem, eng = make_engine()
-        d_in = DmaDescriptor(0, 16, 16, 0, MEM_TO_SPM)
-        d_out = DmaDescriptor(0, 16, 16, 0, SPM_TO_MEM)
-        with pytest.raises(DmaError):
-            eng.scatter(d_in, np.zeros(16, np.uint8))
-        with pytest.raises(DmaError):
-            eng.gather(d_out)
-
-    def test_scatter_size_checked(self):
-        mem, eng = make_engine()
-        d = DmaDescriptor(0, 16, 16, 0, SPM_TO_MEM)
-        with pytest.raises(DmaError):
-            eng.scatter(d, np.zeros(8, np.uint8))
-
-
-class TestReplyWord:
-    def test_bump_and_satisfied(self):
-        rw = ReplyWord()
-        assert not rw.satisfied(1)
-        rw.bump()
-        assert rw.satisfied(1)
-        rw.bump(3)
-        assert rw.satisfied(4)
+        """The latency term keeps achieved bandwidth below peak; a
+        64-row tile load of 1 KiB rows lands in the ~2/3-of-peak regime
+        the paper's 22.6-vs-34 GB/s numbers reflect."""
+        _, paid, cycles = evenly_spaced(64, 1024, 1024)
+        assert paid == 64 * 1024
+        achieved = paid / CFG.cycles_to_seconds(cycles)
+        assert 0.4 * CFG.dram_peak_bw < achieved < CFG.dram_peak_bw
 
 
 class TestCgTileExpansion:
     def test_full_coverage_partition(self):
-        """The 64 per-CPE descriptors exactly tile the CG access:
-        disjoint and complete (the Sec. 4.5.1 offset arithmetic)."""
-        rows, cols, eb = 32, 64, 4
-        row_stride = 256 * eb  # tile embedded in a wider matrix
-        descs = cg_tile_descriptors(
-            0, rows, cols, row_stride, eb, MEM_TO_SPM, grid_rows=8, grid_cols=8
-        )
-        touched = set()
-        for d in descs:
-            for addr, length in d.blocks():
-                for b in range(addr, addr + length):
-                    assert b not in touched, "overlapping descriptors"
-                    touched.add(b)
-        expected = set()
-        for r in range(rows):
-            base = r * row_stride
-            expected.update(range(base, base + cols * eb))
-        assert touched == expected
+        """The per-CPE slices of every block exactly tile the CG
+        access: disjoint and complete (the Sec. 4.5.1 offset
+        arithmetic), for single- and multi-level strided tiles."""
+        cases = [
+            ((64, 256), (32, 64), (8, 16)),
+            ((6, 10, 12), (3, 4, 12), (2, 5, 0)),
+            ((5, 7, 9, 11), (2, 3, 4, 5), (1, 2, 3, 4)),
+        ]
+        for shape, lengths, offsets in cases:
+            touched = []
+            for _, addr, length in cpe_slices(shape, lengths, offsets):
+                touched.extend(range(addr, addr + length))
+            index = np.arange(int(np.prod(shape))).reshape(shape)
+            region = tuple(slice(o, o + n) for o, n in zip(offsets, lengths))
+            assert len(touched) == len(set(touched)), "overlapping slices"
+            assert sorted(touched) == sorted(index[region].ravel().tolist())
 
     def test_paper_example_geometry(self):
-        """Sec. 4.5.1: column-major A(M, N) split 8x8 -> block = M/8
-        elems, stride = 7M/8 elems, offset = cid*(N/8)*M + rid*M/8.
-        Our row-major tile of shape (N, M) gives the same geometry."""
-        M, N, eb = 64, 128, 4
-        descs = cg_tile_descriptors(
-            0, N, M, M * eb, eb, MEM_TO_SPM, grid_rows=8, grid_cols=8
-        )
-        by_cpe = {d.cpe_id: d for d in descs}
-        d = by_cpe[0]
-        assert d.block == (M // 8) * eb
-        assert d.stride == (M - M // 8) * eb  # 7M/8
-        rid, cid = 3, 5
-        d = by_cpe[rid * 8 + cid]
-        assert d.mem_addr == (rid * (N // 8) * M + cid * (M // 8)) * eb
+        """Sec. 4.5.1: each column of a column-major A tile of M rows
+        is split over the 8 cluster columns, so a CPE moves blocks of
+        M/8 elements from ``g*(N/8)*ld + s*M/8``, where ``s`` is its
+        slice of a column, ``g`` its group of N/8 columns and ``ld``
+        the leading dimension; consecutive blocks of one CPE lie
+        ``ld - M/8`` apart (the paper's ``7M/8`` at ``ld = M``).  Our
+        row-major storage of shape (N, ld) holds A transposed."""
+        M, N, ld = 64, 128, 256
+        geo = geometry_of(access((N, M)), (N, ld), CFG)
+        assert geo.block_bytes == M * EB
+        assert geo.stride_bytes == (ld - M) * EB
+        slices = cpe_slices((N, ld), (N, M), (0, 0))
+        assert {length for _, _, length in slices} == {M // 8}
+        groups = partition_extent(N, CFG.cluster_rows)
+        for s, g in ((3, 5), (0, 0), (7, 7)):
+            mine = [addr for cid, addr, _ in slices if cid == s]
+            assert mine[groups[g][0]] == g * (N // 8) * ld + s * (M // 8)
+            gaps = {b - a - M // 8 for a, b in zip(mine, mine[1:])}
+            assert gaps == {ld - M // 8}
 
     def test_small_extents_skip_empty_cpes(self):
-        descs = cg_tile_descriptors(
-            0, 4, 4, 4 * 4, 4, MEM_TO_SPM, grid_rows=8, grid_cols=8
-        )
-        # only 4x4 CPEs get non-empty subtiles
-        assert len(descs) == 16
+        """A 4-element block keeps only 4 of the 8 cluster columns
+        busy: each of those 4 CPEs fetches the transaction its slice
+        sits in, and no empty slice pays."""
+        geo = geometry_of(access((4, 4)), (4, 32), CFG)
+        slices = cpe_slices((4, 32), (4, 4), (0, 0))
+        assert len(slices) == 16
+        paid = paid_bytes_at(geo, np.arange(4) * 32 * EB, CFG)
+        assert paid == 4 * (1 + 3) * CFG.dram_transaction_bytes
 
     def test_block_wider_than_stride_rejected(self):
-        with pytest.raises(DmaError):
-            cg_tile_descriptors(
-                0, 8, 64, 32 * 4, 4, MEM_TO_SPM, grid_rows=1, grid_cols=1
-            )
+        with pytest.raises(IrError):
+            geometry_of(access((8, 64)), (8, 32), CFG)

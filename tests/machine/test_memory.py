@@ -74,19 +74,6 @@ class TestFunctionalAccess:
         with pytest.raises(MainMemoryError):
             mem.write(buf, np.zeros((5,), np.float32))
 
-    def test_raw_bytes_roundtrip(self):
-        mem = MainMemory(4096)
-        payload = np.arange(16, dtype=np.uint8)
-        mem.write_bytes(100, payload)
-        np.testing.assert_array_equal(mem.read_bytes(100, 16), payload)
-
-    def test_raw_bounds_checked(self):
-        mem = MainMemory(256)
-        with pytest.raises(MainMemoryError):
-            mem.read_bytes(250, 16)
-        with pytest.raises(MainMemoryError):
-            mem.read_bytes(-1, 4)
-
 
 class TestBufferAddressing:
     def test_elem_addr_row_major(self):

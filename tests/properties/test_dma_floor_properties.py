@@ -1,24 +1,26 @@
-"""Property: the per-transfer floor the strategy bound charges never
-exceeds what either score charges for the same transfer -- Eq. (1) in
-the cost model (first block aligned) and the simulator's per-address
-transaction accounting -- for any tile of any storage shape, starting
-at any element of a transaction-aligned tensor."""
+"""Properties of the shared DMA arithmetic, for any tile of any storage
+shape starting at any element of a transaction-aligned tensor:
+
+* the per-transfer floor the strategy bound charges never exceeds what
+  either score charges for the same transfer -- Eq. (1) in the cost
+  model (first block aligned) and the simulator's per-address
+  transaction accounting;
+* both forms of the paid bytes, and what the simulator pays, equal a
+  slice-by-slice reference (:func:`reference_paid`, also the oracle of
+  the whole-space check in ``tests/codegen/test_timing_only.py``)."""
 
 from types import SimpleNamespace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autotuner.cost_model import (
-    min_transfer_cycles,
-    paid_bytes,
-    predict_dma,
-)
+from repro.autotuner.cost_model import min_transfer_cycles, predict_dma
 from repro.codegen.executor import _ExecState
 from repro.ir.expr import AffineExpr
 from repro.ir.nodes import DmaCgNode, TileAccess
 from repro.machine.config import default_config
-from repro.machine.dma import MEM_TO_SPM
+from repro.machine.dma import MEM_TO_SPM, paid_bytes, paid_bytes_at, transfer_cycles
 from repro.machine.spm import partition_extent
 from repro.optimizer.dma_inference import flatten_access, geometry_of
 
@@ -52,19 +54,32 @@ def _simulated(node, shape, addr):
     return _ExecState._transfer_cost(state, node, addr)
 
 
-def _reference_paid(geo, start, blocks):
-    """Block by block, slice by slice: every per-CPE column slice
-    rounded out to whole transactions."""
+def block_starts(shape, lengths, addr):
+    """Byte address of every block of the tile starting at ``addr``,
+    from NumPy's own element indexing of the storage."""
+    index = np.arange(int(np.prod(shape))).reshape(shape)
+    tile = index[tuple(slice(0, n) for n in lengths)]
+    chunk = flatten_access(lengths, shape).chunk_elems
+    return addr + tile.reshape(-1, chunk)[:, 0] * CFG.dtype_bytes
+
+
+def reference_paid(geo, addrs):
+    """Block by block, slice by slice: every per-CPE column slice of a
+    block at each address of ``addrs`` rounded out to whole
+    transactions."""
     txn, eb = CFG.dram_transaction_bytes, CFG.dtype_bytes
-    step = geo.block_bytes + geo.stride_bytes
     paid = 0
-    for i in range(blocks):
-        block = start + i * step
+    for block in addrs:
         for c0, cl in partition_extent(max(1, geo.block_bytes // eb), CFG.cluster_cols):
             if cl:
-                lo = block + c0 * eb
+                lo = int(block) + c0 * eb
                 paid += -(-(lo + cl * eb) // txn) * txn - lo // txn * txn
     return paid
+
+
+def _evenly_spaced(geo, start, blocks):
+    step = geo.block_bytes + geo.stride_bytes
+    return [start + i * step for i in range(blocks)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -80,15 +95,27 @@ def test_floor_below_cost_model_and_simulator(transfer):
 @settings(max_examples=300, deadline=None)
 @given(transfers())
 def test_paid_bytes_is_exact(transfer):
+    """The closed form of one evenly spaced run and the per-address
+    form the simulator charges both equal the per-slice reference; the
+    simulator pays exactly that for every tile, multi-level ones
+    included."""
     shape, lengths, addr = transfer
-    geo = _node(shape, lengths).geometry
+    node = _node(shape, lengths)
+    geo = node.geometry
     start = addr % CFG.dram_transaction_bytes
     blocks = geo.n_blocks // geo.n_descriptors
     assert paid_bytes(geo, [start], blocks, CFG) == [
-        _reference_paid(geo, start, blocks)
+        reference_paid(geo, _evenly_spaced(geo, start, blocks))
     ]
+    addrs = block_starts(shape, lengths, addr)
+    assert len(addrs) == geo.n_blocks
+    expected = reference_paid(geo, addrs)
+    assert paid_bytes_at(geo, addrs, CFG) == expected
+    cycles, payload, paid = _simulated(node, shape, addr)
+    assert paid == expected
+    assert payload == int(np.prod(lengths)) * CFG.dtype_bytes
+    assert cycles == transfer_cycles(geo, expected, CFG)
     if len(flatten_access(lengths, shape).outer_lengths) <= 1:
-        # one evenly spaced run of blocks: exactly what the simulator pays
-        assert paid_bytes(geo, [start], geo.n_blocks, CFG) == [
-            _simulated(_node(shape, lengths), shape, addr)[2]
-        ]
+        # one evenly spaced run of blocks: the closed form over the
+        # whole transfer is what the simulator pays
+        assert paid_bytes(geo, [start], geo.n_blocks, CFG) == [paid]
