@@ -28,8 +28,9 @@ from pathlib import Path
 
 from repro.autotuner.calibrate import default_coeffs
 from repro.autotuner import tune_with_model
-from repro.engine import clear_feeds_cache, clear_shared_memo, set_eval_cache
-from repro.faults import FaultPlan, set_fault_plan
+from repro.engine import PersistentEvalStore, clear_feeds_cache, clear_shared_memo
+from repro.faults import FaultPlan
+from repro.options import use
 from repro.ops.gemm import make_compute as gemm_compute
 from repro.ops.gemm import make_space as gemm_space
 from repro.primitives.microkernel import clear_schedule_memo
@@ -62,18 +63,15 @@ def run_sweep(shapes, *, quick_space: bool) -> dict:
             walls = {}
             for mode, plan in (("clean", None), ("chaos", CHAOS_PLAN)):
                 _cold_caches()
-                set_fault_plan(plan)
-                store = set_eval_cache(
+                store = PersistentEvalStore(
                     Path(tmp) / f"evals-{mode}-{m}x{n}x{k}.json"
                 )
                 t0 = time.perf_counter()
-                try:
+                # leaving the scope flushes the store, fault-free
+                with use(faults=plan, eval_store=store):
                     results[mode] = tune_with_model(
                         compute, space, run_best=True, prune=True
                     )
-                finally:
-                    set_fault_plan(None)
-                    set_eval_cache(None)
                 walls[mode] = time.perf_counter() - t0
                 del store
             clean, chaos = results["clean"], results["chaos"]

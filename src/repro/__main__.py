@@ -12,9 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
+from .engine import CheckpointPolicy, PersistentEvalStore
+from .faults import FaultPlan
 from .harness import experiments as E
 from .harness.scales import SCALES, get_scale
+from .options import use
+from .passes import IrDump
 
 
 def _tables(name: str, scale):
@@ -123,9 +128,8 @@ def main(argv=None) -> int:
         action="store_true",
         help="run every simulated kernel under the machine sanitizer "
              "(shadow-state checks for SPM/memory out-of-bounds DMA, "
-             "uninitialized reads, double-buffer phase races and "
-             "register-communication misuse); equivalent to "
-             "REPRO_SANITIZE=1",
+             "uninitialized reads and double-buffer phase races); "
+             "equivalent to REPRO_SANITIZE=1",
     )
     parser.add_argument(
         "--dump-ir",
@@ -139,52 +143,43 @@ def main(argv=None) -> int:
              "pipeline runs are dumped to keep sweeps readable",
     )
     args = parser.parse_args(argv)
-    if args.no_prune:
-        from .engine import set_default_prune
-
-        set_default_prune(False)
     if args.resume and args.checkpoint is None:
         parser.error("--resume requires --checkpoint DIR")
+    # the flags given, as changes to the run options; installed only
+    # for this run (see repro.options)
+    changes = {}
+    if args.no_prune:
+        changes["prune"] = False
     if args.checkpoint is not None:
-        from .engine import set_default_checkpoint
-
-        set_default_checkpoint(args.checkpoint, resume=args.resume)
+        changes["checkpoint"] = CheckpointPolicy(
+            Path(args.checkpoint), resume=args.resume
+        )
     if args.sanitize:
-        from .machine.sanitizer import set_sanitize
-
-        set_sanitize(True)
+        changes["sanitize"] = True
     if args.validate is not None:
-        from .engine import set_default_validate
-
-        set_default_validate(args.validate)
+        changes["validate"] = args.validate
     if args.inject_faults is not None:
-        from .faults import FaultPlan, set_fault_plan
-
         try:
             plan = FaultPlan.parse(args.inject_faults)
         except ValueError as exc:
             parser.error(f"--inject-faults: {exc}")
-        set_fault_plan(plan)
+        changes["faults"] = plan
         print(f"[fault injection: {plan.describe()}]", file=sys.stderr)
-    eval_store = None
     if args.eval_cache is not None:
-        from .engine import set_eval_cache
-
-        eval_store = set_eval_cache(args.eval_cache)
+        changes["eval_store"] = PersistentEvalStore(args.eval_cache)
     if args.dump_ir is not None:
-        from .passes import set_dump_ir
-
-        set_dump_ir(args.dump_ir)
+        changes["dump_ir"] = IrDump(args.dump_ir)
     scale = get_scale(args.scale)
     names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    for name in names:
-        t0 = time.perf_counter()
-        for table in _tables(name, scale):
-            print(table.render())
-        print(f"[{name}: {time.perf_counter() - t0:.1f}s]\n")
-    if eval_store is not None:
-        eval_store.flush()
-        print(f"[eval cache: {eval_store.describe()}]", file=sys.stderr)
+    with use(**changes) as options:
+        for name in names:
+            t0 = time.perf_counter()
+            for table in _tables(name, scale):
+                print(table.render())
+            print(f"[{name}: {time.perf_counter() - t0:.1f}s]\n")
+        if options.eval_store is not None:
+            options.eval_store.flush()
+            print(f"[eval cache: {options.eval_store.describe()}]", file=sys.stderr)
     return 0
 
 

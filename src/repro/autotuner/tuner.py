@@ -247,7 +247,7 @@ def tune_blackbox(
     keyword stays only for existing callers.
 
     ``memoize`` and ``prune`` default *off*, and ``prune`` deliberately
-    ignores the process-wide pruning default: this tuner exists to
+    ignores ``TuneOptions.prune``: this tuner exists to
     measure the true cost of brute force, and answering from a warm memo
     or skipping candidates would corrupt that measurement.  Opt in
     explicitly when the cost is not the point -- the admissible bound
@@ -305,8 +305,8 @@ def tune_with_model(
     ``workers`` must be 1, as for :func:`tune_blackbox`;
     ``memoize`` reuses measured runs of strategies already executed
     anywhere in this process.  ``prune`` enables branch-and-bound
-    pruning (``None`` inherits the process-wide default, see
-    ``repro.engine.set_default_prune``): candidates whose admissible
+    pruning (``None`` inherits ``TuneOptions.prune``, see
+    :mod:`repro.options`): candidates whose admissible
     cost bound exceeds the ``top_k``-th best prediction so far are
     never lowered or scored.  The winner and the re-measured top-K are
     bit-identical either way; only ``evaluated`` and the stage
@@ -321,7 +321,7 @@ def tune_with_model(
     *every* candidate was quarantined.
 
     ``validate`` selects differential validation (``None`` inherits the
-    process-wide default, see ``repro.engine.set_default_validate``):
+    run's options, see :func:`repro.engine.resolve_validate`):
     ``"winner"`` validates the selected winner against the NumPy
     reference before returning (falling through to the next finalist on
     failure), ``"all"`` validates every measured candidate.  On a

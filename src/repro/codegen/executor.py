@@ -52,11 +52,12 @@ from ..ir.nodes import (
 from ..machine.config import MachineConfig, default_config
 from ..machine.dma import MEM_TO_SPM, paid_bytes_at, transfer_cycles
 from ..machine.memory import MainMemory
-from ..machine.sanitizer import MachineSanitizer, fail, resolve_sanitize
+from ..machine.sanitizer import MachineSanitizer, fail
 from ..machine.trace import SimReport, Trace
 from ..optimizer.dma_inference import flatten_access, storage_shapes
 from ..optimizer.memplan import plan_spm
 from ..optimizer.prefetch import direct_stream_dmas
+from ..options import current
 from ..primitives.gemm_kernel import kernel_cycles
 
 
@@ -81,7 +82,7 @@ class CompiledKernel:
         self.kernel = kernel
         self.compute = compute
         self.config = config or default_config()
-        self.sanitize = resolve_sanitize(sanitize)
+        self.sanitize = current().sanitize if sanitize is None else bool(sanitize)
         self.spm_plan = plan_spm(kernel, self.config)  # validates capacity
         self.storage_shapes = storage_shapes(kernel, compute)
         self._validate()

@@ -27,17 +27,8 @@ from .bounds import (
     space_bounds,
     strategy_bound,
 )
-from .checkpoint import (
-    SearchCheckpoint,
-    default_checkpoint_policy,
-    search_digest,
-    set_default_checkpoint,
-)
-from .evalcache import (
-    PersistentEvalStore,
-    default_eval_store,
-    set_eval_cache,
-)
+from .checkpoint import CheckpointPolicy, SearchCheckpoint, search_digest
+from .evalcache import PersistentEvalStore
 from .evaluators import (
     AnalyticEvaluator,
     Evaluation,
@@ -55,21 +46,14 @@ from .evaluators import (
 from .metrics import EngineEvent, EngineMetrics, PruneBatch, StageStats
 from .parallel import evaluate_batch
 from .pipeline import CandidatePipeline, clip_strategy, compile_strategy
-from .search import (
-    default_prune,
-    resolve_prune,
-    search_candidates,
-    set_default_prune,
-)
+from .search import search_candidates
 from .validate import (
     VALIDATE_MODES,
     ValidatingEvaluator,
     ValidationReport,
     compare_tensors,
-    default_validate,
     reference_outputs,
     resolve_validate,
-    set_default_validate,
     tolerance_for,
     validate_candidate,
     validate_kernel,
@@ -80,6 +64,7 @@ __all__ = [
     "AnalyticEvaluator",
     "BOUND_SAFETY",
     "CandidatePipeline",
+    "CheckpointPolicy",
     "EngineEvent",
     "EngineMetrics",
     "Evaluation",
@@ -101,21 +86,12 @@ __all__ = [
     "clip_strategy",
     "compile_strategy",
     "compute_signature",
-    "default_checkpoint_policy",
-    "default_eval_store",
-    "default_prune",
-    "default_validate",
     "definitely_infeasible",
     "evaluate_batch",
     "reference_outputs",
-    "resolve_prune",
     "resolve_validate",
     "search_candidates",
     "search_digest",
-    "set_default_checkpoint",
-    "set_default_prune",
-    "set_default_validate",
-    "set_eval_cache",
     "shared_memo_size",
     "space_bounds",
     "strategy_key",

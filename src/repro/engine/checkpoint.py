@@ -18,9 +18,10 @@ signature + strategy count + search parameters + evaluator
 fingerprint) matches the running search and its fields parse as a
 whole.
 
-``set_default_checkpoint`` is the process-wide knob behind the CLI's
+A :class:`CheckpointPolicy` installed as ``TuneOptions.checkpoint``
+(:mod:`repro.options`) is the run-wide knob behind the CLI's
 ``--checkpoint DIR`` / ``--resume`` flags: experiment sweeps run many
-searches, so the default names one file per search digest inside the
+searches, so the policy names one file per search digest inside the
 directory.  ``tune_with_model(..., resume_from=PATH)`` and
 ``tune_blackbox(..., resume_from=PATH)`` target one explicit file
 instead.
@@ -41,10 +42,9 @@ from .metrics import PruneBatch
 
 __all__ = [
     "CHECKPOINT_VERSION",
+    "CheckpointPolicy",
     "SearchCheckpoint",
-    "default_checkpoint_policy",
     "search_digest",
-    "set_default_checkpoint",
 ]
 
 logger = logging.getLogger(__name__)
@@ -59,10 +59,15 @@ def search_digest(
     top_k: int,
     batch: int,
     evaluator,
+    lowering: Tuple,
 ) -> str:
     """Identity of one search problem: only a checkpoint written by a
     bit-identical search (same space, same parameters, same evaluator
-    family and fitted parameters) may be resumed."""
+    family and fitted parameters, same lowering context) may be
+    resumed.  ``lowering`` is what changes the kernels of a strategy
+    without changing the compute -- the lowering options, prefetch on
+    or off and the machine -- so the two arms of a prefetch ablation
+    never resume each other's checkpoint."""
     params = None
     params_key = getattr(evaluator, "params_key", None)
     if callable(params_key):
@@ -74,6 +79,7 @@ def search_digest(
         int(batch),
         getattr(evaluator, "kind", "?"),
         repr(params),
+        lowering,
     )
     return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
 
@@ -204,9 +210,9 @@ class SearchCheckpoint:
 
 @dataclass(frozen=True)
 class CheckpointPolicy:
-    """Process-wide default checkpointing: a directory that receives
-    one ``search-<digest>.json`` per distinct search, plus whether
-    existing checkpoints should be resumed."""
+    """Run-wide checkpointing: a directory that receives one
+    ``search-<digest>.json`` per distinct search, plus whether existing
+    checkpoints should be resumed."""
 
     directory: Path
     resume: bool = False
@@ -214,22 +220,3 @@ class CheckpointPolicy:
     def path_for(self, digest: str) -> Path:
         return self.directory / f"search-{digest[:16]}.json"
 
-
-_DEFAULT_POLICY: Optional[CheckpointPolicy] = None
-
-
-def set_default_checkpoint(
-    directory: Union[None, str, Path], *, resume: bool = False
-) -> Optional[CheckpointPolicy]:
-    """Install (or clear, with ``None``) the process-wide checkpoint
-    directory (the CLI's ``--checkpoint DIR`` / ``--resume``)."""
-    global _DEFAULT_POLICY
-    if directory is None:
-        _DEFAULT_POLICY = None
-    else:
-        _DEFAULT_POLICY = CheckpointPolicy(Path(directory), resume=resume)
-    return _DEFAULT_POLICY
-
-
-def default_checkpoint_policy() -> Optional[CheckpointPolicy]:
-    return _DEFAULT_POLICY

@@ -31,9 +31,9 @@ Design points:
   (``evaluate_batch`` does this), so a tuning loop is never slowed by
   per-candidate disk traffic.
 
-``set_eval_cache`` installs a process-wide default store (the CLI's
-``--eval-cache PATH`` routes here); every :class:`MemoizingEvaluator`
-without an explicit ``disk`` argument picks it up.
+A store installed as ``TuneOptions.eval_store`` (:mod:`repro.options`;
+the CLI's ``--eval-cache PATH`` routes here) is picked up by every
+:class:`MemoizingEvaluator` without an explicit ``disk`` argument.
 """
 
 from __future__ import annotations
@@ -45,14 +45,13 @@ from typing import Optional, Tuple, Union
 
 from ..machine.config import MachineConfig, default_config
 from ..machine.trace import SimReport
+from ..options import current
 from ..persist import code_salt, read_document, valid_number, write_document
 from .evaluators import Evaluation
 
 __all__ = [
     "EVAL_CACHE_VERSION",
     "PersistentEvalStore",
-    "default_eval_store",
-    "set_eval_cache",
 ]
 
 logger = logging.getLogger(__name__)
@@ -142,9 +141,7 @@ class PersistentEvalStore:
         """Chaos hook: an active ``corrupt`` fault truncates the file
         just written, simulating a torn write the next load must
         survive."""
-        from ..faults import active_fault_plan
-
-        plan = active_fault_plan()
+        plan = current().faults
         if plan is None:
             return
         if not plan.should_fire(
@@ -226,29 +223,3 @@ class PersistentEvalStore:
             text += f" [corrupt original at {self.quarantined_path}]"
         return text
 
-
-#: the process-wide default store (None = persistence disabled).
-_DEFAULT_STORE: Optional[PersistentEvalStore] = None
-
-
-def set_eval_cache(
-    target: Union[None, str, Path, PersistentEvalStore]
-) -> Optional[PersistentEvalStore]:
-    """Install (or clear, with ``None``) the process-wide eval cache.
-
-    Accepts a path (a store is created/loaded there) or a ready-made
-    :class:`PersistentEvalStore`.  Returns the installed store so
-    callers can inspect or flush it.
-    """
-    global _DEFAULT_STORE
-    if _DEFAULT_STORE is not None and _DEFAULT_STORE is not target:
-        _DEFAULT_STORE.flush()
-    if target is None or isinstance(target, PersistentEvalStore):
-        _DEFAULT_STORE = target
-    else:
-        _DEFAULT_STORE = PersistentEvalStore(target)
-    return _DEFAULT_STORE
-
-
-def default_eval_store() -> Optional[PersistentEvalStore]:
-    return _DEFAULT_STORE

@@ -34,6 +34,7 @@ from ..dsl.compute import ComputeDef, ROLE_OUTPUT, ShiftedDim
 from ..dsl.schedule import ScheduleStrategy
 from ..machine.config import MachineConfig, config_signature, default_config
 from ..machine.trace import SimReport
+from ..options import current
 from ..scheduler.enumerate import Candidate
 
 #: generated input tensors, keyed by (compute signature, seed).  Feed
@@ -265,9 +266,9 @@ def shared_memo_size() -> int:
     return len(_SHARED_MEMO)
 
 
-#: "disk not specified" marker: resolved to the process-wide default
-#: store (see :func:`repro.engine.evalcache.set_eval_cache`) at lookup
-#: time, so installing a cache after evaluators were built still works.
+#: "disk not specified" marker: resolved to the run's
+#: ``TuneOptions.eval_store`` (see :mod:`repro.options`) at lookup time,
+#: so installing a cache after evaluators were built still works.
 _DEFAULT_DISK = object()
 
 
@@ -312,9 +313,7 @@ class MemoizingEvaluator(Evaluator):
     def disk(self):
         if self._disk is not _DEFAULT_DISK:
             return self._disk
-        from .evalcache import default_eval_store
-
-        return default_eval_store()
+        return current().eval_store
 
     def key(self, candidate: Candidate) -> Tuple:
         config = getattr(self.inner, "config", None)

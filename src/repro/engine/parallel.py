@@ -17,15 +17,10 @@ exception chain.  Every decision (retry, quarantine) is an explicit
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
-from ..faults import (
-    FaultyEvaluator,
-    InjectedCrash,
-    InjectedHang,
-    active_fault_plan,
-    set_current_attempt,
-)
+from ..faults import FaultyEvaluator, InjectedCrash, InjectedHang
+from ..options import current
 from ..scheduler.enumerate import Candidate
 from .evaluators import (
     Evaluation,
@@ -52,15 +47,15 @@ def _classify(exc: BaseException) -> str:
 def _supervise(
     index: int,
     candidate: Candidate,
-    evaluator: Evaluator,
+    score: Callable[[Candidate, int], Evaluation],
     metrics: EngineMetrics,
 ) -> Evaluation:
-    """Score one candidate, retrying then quarantining on failure."""
+    """Score one candidate with ``score(candidate, attempt)``, retrying
+    then quarantining on failure."""
     attempts = 0
     while True:
-        set_current_attempt(attempts)
         try:
-            return evaluator.evaluate(candidate)
+            return score(candidate, attempts)
         except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
@@ -106,8 +101,12 @@ def evaluate_batch(
     cands = list(candidates)
     memo = evaluator if isinstance(evaluator, MemoizingEvaluator) else None
     inner = memo.inner if memo is not None else evaluator
-    plan = active_fault_plan()
-    scorer = FaultyEvaluator(inner, plan) if plan is not None else inner
+    plan = current().faults
+    if plan is not None:
+        score = FaultyEvaluator(inner, plan).evaluate
+    else:
+        def score(candidate: Candidate, attempt: int) -> Evaluation:
+            return inner.evaluate(candidate)
 
     results: List[Optional[Evaluation]] = [None] * len(cands)
     todo: List[Tuple[int, Candidate]] = []
@@ -125,13 +124,10 @@ def evaluate_batch(
     m = metrics if metrics is not None else EngineMetrics()
     t0 = time.perf_counter()
     if todo:
-        try:
-            for i, cand in todo:
-                results[i] = _supervise(i, cand, scorer, m)
-                if memo is not None:
-                    memo.remember(cand, results[i])  # skips failures
-        finally:
-            set_current_attempt(0)
+        for i, cand in todo:
+            results[i] = _supervise(i, cand, score, m)
+            if memo is not None:
+                memo.remember(cand, results[i])  # skips failures
         if memo is not None:
             memo.flush()  # persist new scores at the batch boundary
     if metrics is not None:

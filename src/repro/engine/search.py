@@ -44,8 +44,8 @@ Resilience (see DESIGN.md "Failure model & recovery"):
   interrupted sweep and finishes it with a bit-identical final result
   (``tests/engine/test_checkpoint.py``).
 
-``set_default_prune`` is the process-wide knob behind the CLI's
-``--no-prune`` escape hatch.  With
+``TuneOptions.prune`` (:mod:`repro.options`) is the run-wide knob
+behind the CLI's ``--no-prune`` escape hatch.  With
 pruning off the search degrades to exactly the pre-bound behaviour:
 realize every candidate in enumeration order, score them in one batch.
 """
@@ -58,45 +58,21 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..machine.config import config_signature
+from ..options import current
 from ..scheduler.enumerate import Candidate
 from .bounds import BOUND_SAFETY
-from .checkpoint import (
-    SearchCheckpoint,
-    default_checkpoint_policy,
-    search_digest,
-)
+from .checkpoint import SearchCheckpoint, search_digest
 from .evaluators import Evaluation, Evaluator, compute_signature
 from .parallel import evaluate_batch
 from .pipeline import CandidatePipeline
 
-__all__ = [
-    "PRUNE_BATCH",
-    "default_prune",
-    "resolve_prune",
-    "search_candidates",
-    "set_default_prune",
-]
+__all__ = ["PRUNE_BATCH", "search_candidates"]
 
 #: strategies realized + scored per branch-and-bound step.  A constant
 #: on purpose: deriving it from the host would make the set of
 #: evaluated candidates depend on the machine the search runs on.
 PRUNE_BATCH = 64
-
-_DEFAULT_PRUNE = True
-
-
-def set_default_prune(prune: bool) -> None:
-    """Set the process-wide pruning default (used by ``--no-prune``)."""
-    global _DEFAULT_PRUNE
-    _DEFAULT_PRUNE = bool(prune)
-
-
-def default_prune() -> bool:
-    return _DEFAULT_PRUNE
-
-
-def resolve_prune(prune: Optional[bool]) -> bool:
-    return _DEFAULT_PRUNE if prune is None else bool(prune)
 
 
 def _exhaustive(
@@ -117,10 +93,10 @@ def _resolve_checkpoint(
     resume: Optional[bool],
     digest: str,
 ) -> Tuple[Optional[Path], bool]:
-    """Explicit path beats the process-wide directory policy."""
+    """Explicit path beats the run-wide directory policy."""
     if checkpoint is not None:
         return Path(checkpoint), bool(resume)
-    policy = default_checkpoint_policy()
+    policy = current().checkpoint
     if policy is None:
         return None, False
     return (
@@ -188,8 +164,9 @@ def search_candidates(
     applies to the branch-and-bound path -- the exhaustive path is a
     single batch with nothing to resume).
     """
-    do_prune = resolve_prune(prune)
-    if not do_prune or limit is not None:
+    if prune is None:
+        prune = current().prune
+    if not prune or limit is not None:
         return _exhaustive(pipeline, evaluator, limit)
 
     space_bound = pipeline.bound_space()
@@ -207,6 +184,11 @@ def search_candidates(
         keep,
         batch,
         evaluator,
+        (
+            pipeline.options,
+            pipeline.prefetch,
+            config_signature(pipeline.config),
+        ),
     )
     ckpt_path, do_resume = _resolve_checkpoint(checkpoint, resume, digest)
 

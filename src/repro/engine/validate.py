@@ -47,7 +47,7 @@ from .. import persist
 from ..dsl.compute import ComputeDef, ROLE_OUTPUT, ShiftedDim
 from ..errors import SanitizerError, ValidationError
 from ..machine.config import MachineConfig
-from ..machine.sanitizer import sanitize_default
+from ..options import VALIDATE_MODES, check_validate_mode, current
 from .evaluators import (
     Evaluation,
     Evaluator,
@@ -56,39 +56,17 @@ from .evaluators import (
     synthetic_feeds,
 )
 
-VALIDATE_MODES = ("off", "winner", "all")
-
-#: process-wide default installed by ``set_default_validate`` (CLI
-#: ``--validate``); ``None`` defers to the environment.
-_DEFAULT_MODE: Optional[str] = None
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in VALIDATE_MODES:
-        raise ValueError(
-            f"validate mode must be one of {VALIDATE_MODES}, got {mode!r}"
-        )
-    return mode
-
-
-def set_default_validate(mode: Optional[str]) -> None:
-    """Install the process-wide validation mode (``None`` resets)."""
-    global _DEFAULT_MODE
-    _DEFAULT_MODE = None if mode is None else _check_mode(mode)
-
-
-def default_validate() -> str:
-    """The effective process-wide default mode.  ``REPRO_SANITIZE=1``
-    forces ``all`` so the CI sanitize job exercises validation on every
-    measured candidate."""
-    if _DEFAULT_MODE is not None:
-        return _DEFAULT_MODE
-    return "all" if sanitize_default() else "off"
-
-
 def resolve_validate(mode: Optional[str]) -> str:
-    """Resolve a per-call ``validate`` argument against the default."""
-    return default_validate() if mode is None else _check_mode(mode)
+    """Resolve a per-call ``validate`` argument: an explicit mode wins,
+    then ``TuneOptions.validate``; with neither, a sanitizing run
+    (``--sanitize``, ``REPRO_SANITIZE=1``) validates every measured
+    candidate, so the CI sanitize job exercises validation too."""
+    if mode is not None:
+        return check_validate_mode(mode)
+    options = current()
+    if options.validate is not None:
+        return options.validate
+    return "all" if options.sanitize else "off"
 
 
 # --- the NumPy reference ---------------------------------------------------
@@ -361,10 +339,8 @@ __all__ = [
     "ValidatingEvaluator",
     "ValidationReport",
     "compare_tensors",
-    "default_validate",
     "reference_outputs",
     "resolve_validate",
-    "set_default_validate",
     "tolerance_for",
     "validate_candidate",
     "validate_kernel",

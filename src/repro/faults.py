@@ -35,9 +35,10 @@ construction: a retry re-draws at the next attempt number, so at rate
 digest starts with the prefix always raises, on every attempt -- the
 supervised engine must quarantine exactly that candidate.
 
-Everything is a no-op until :func:`set_fault_plan` installs a plan
-(the CLI's ``--inject-faults SPEC`` does this); production code pays
-one ``None`` check.
+Everything is a no-op until a plan is installed as
+``TuneOptions.faults`` (:mod:`repro.options`; the CLI's
+``--inject-faults SPEC`` does this); production code pays one ``None``
+check.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import ReproError
+from .options import current
 
 __all__ = [
     "FAULT_SITES",
@@ -55,13 +57,9 @@ __all__ = [
     "InjectedEvaluatorError",
     "InjectedFault",
     "InjectedHang",
-    "active_fault_plan",
     "candidate_digest",
     "compute_digest",
-    "current_attempt",
     "maybe_corrupt_outputs",
-    "set_current_attempt",
-    "set_fault_plan",
 ]
 
 #: the injectable fault sites, in spec order.
@@ -228,7 +226,7 @@ def maybe_corrupt_outputs(compute, outputs) -> bool:
     differential validation *must* catch it.  Returns ``True`` when a
     corruption was applied.  One ``None`` check when no plan is active.
     """
-    plan = _ACTIVE_PLAN
+    plan = current().faults
     if plan is None or not plan.poison:
         return False
     if not plan.is_poison(compute_digest(compute)):
@@ -240,50 +238,14 @@ def maybe_corrupt_outputs(compute, outputs) -> bool:
     return True
 
 
-#: attempt number of the evaluation currently running.  The
-#: supervisor's per-candidate retry loop sets it before each attempt,
-#: so fault draws can be keyed per attempt -- that is what makes
-#: injected faults transient.
-_CURRENT_ATTEMPT = 0
-
-
-def set_current_attempt(attempt: int) -> None:
-    global _CURRENT_ATTEMPT
-    _CURRENT_ATTEMPT = max(0, int(attempt))
-
-
-def current_attempt() -> int:
-    return _CURRENT_ATTEMPT
-
-
-#: the process-wide plan (None = fault injection disabled).
-_ACTIVE_PLAN: Optional[FaultPlan] = None
-
-
-def set_fault_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-    """Install (or clear, with ``None``) the process-wide fault plan.
-
-    The CLI's ``--inject-faults SPEC`` routes here; a no-op plan is
-    normalized to ``None``.
-    """
-    global _ACTIVE_PLAN
-    if plan is not None and plan.is_noop():
-        plan = None
-    _ACTIVE_PLAN = plan
-    return _ACTIVE_PLAN
-
-
-def active_fault_plan() -> Optional[FaultPlan]:
-    return _ACTIVE_PLAN
-
-
 class FaultyEvaluator:
     """Evaluator wrapper that consults a :class:`FaultPlan` before
     delegating to the real evaluator.
 
-    Built by ``evaluate_batch`` when a plan is active.  Fault decisions
-    are keyed by the candidate's digest and the current attempt
-    number, so they are identical in every run of the same plan.
+    Built by ``evaluate_batch`` when a plan is active; its supervisor
+    passes the attempt number of every try.  Fault decisions are keyed
+    by the candidate's digest and that attempt number, so they are
+    identical in every run of the same plan.
     """
 
     def __init__(self, inner, plan: FaultPlan) -> None:
@@ -294,9 +256,8 @@ class FaultyEvaluator:
     def params_key(self):
         return self.inner.params_key()
 
-    def evaluate(self, candidate):
+    def evaluate(self, candidate, attempt: int = 0):
         digest = candidate_digest(candidate)
-        attempt = current_attempt()
         if self.plan.is_poison(digest):
             raise InjectedEvaluatorError(
                 f"poison candidate {digest[:12]} (always fails)"

@@ -14,7 +14,7 @@ from .config import SW26010, MachineConfig, default_config
 from .dma import MEM_TO_SPM, SPM_TO_MEM
 from .memory import Buffer, MainMemory, transaction_bytes
 from .pipeline import Instr, ScheduleResult, schedule, steady_state_cycles
-from .sanitizer import MachineSanitizer, resolve_sanitize, sanitize_default, set_sanitize
+from .sanitizer import MachineSanitizer
 from .spm import SpmAllocator, SpmBuffer, SpmPlan, partition_extent, tile_bytes_per_cpe
 from .trace import SimReport, Trace, TraceEvent
 from .trace_export import render_timeline, to_chrome_trace
@@ -36,9 +36,6 @@ __all__ = [
     "schedule",
     "steady_state_cycles",
     "MachineSanitizer",
-    "set_sanitize",
-    "sanitize_default",
-    "resolve_sanitize",
     "MEM_TO_SPM",
     "SPM_TO_MEM",
     "SimReport",

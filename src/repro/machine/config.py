@@ -9,8 +9,9 @@ benchmarking literature it cites (Xu et al., IPDPSW'17):
 * 4 core groups (CGs); each CG = 1 MPE + 8x8 CPE cluster + 1 memory
   controller, peak 3.06 TFLOPS chip-wide;
 * 64 KB software-managed scratch pad memory (SPM) per CPE;
-* DMA engine for main-memory <-> SPM transfers (fast, ~22.6 GB/s
-  achieved) vs. global load/store (slow, 1.48 GB/s);
+* DMA engine for main-memory <-> SPM transfers (~22.6 GB/s achieved);
+  generated kernels move data by DMA only, so the slow global
+  load/store path (1.48 GB/s) is not modelled;
 * DRAM accessed in 128-byte transactions -- a transaction is paid in
   full even if one byte is touched (Sec. 4.6);
 * 8x8 mesh register communication between CPEs (row/column broadcast);
@@ -107,15 +108,10 @@ class MachineConfig:
     dma_latency_cycles: int = 1650
     #: per-descriptor issue overhead on the CPE side, in cycles.
     dma_issue_cycles: int = 25
-    #: global load/store bandwidth per CPE (the slow path), bytes/s.
-    gld_bw: float = 1.48e9
     #: alignment of main-memory allocations, bytes.
     mem_align: int = 128
 
     # --- register communication -----------------------------------------
-    regcomm_latency_cycles: int = 4
-    #: payload bytes movable per cycle per CPE on a row or column bus.
-    regcomm_bytes_per_cycle: int = 32
     #: cycles lost when the communication pattern (row<->col, producer
     #: set) changes between two bursts (Sec. 4.6: "latency to switch
     #: register communication pattern").

@@ -11,8 +11,9 @@ DMA and the main-memory window each tensor is bound to -- and raises a
 structured :class:`~repro.errors.SanitizerError` naming the IR node,
 the buffer and the byte range the moment an access violates them.
 
-The sanitizer is strictly opt-in (``REPRO_SANITIZE=1`` in the
-environment, ``--sanitize`` on the CLI, or ``sanitize=True`` on
+The sanitizer is strictly opt-in (``TuneOptions.sanitize`` from
+:mod:`repro.options`, set by ``REPRO_SANITIZE=1`` in the environment
+or ``--sanitize`` on the CLI, or ``sanitize=True`` on
 :class:`~repro.codegen.executor.CompiledKernel`); when disabled the
 executor holds a single ``None`` and pays one identity check per hook
 site, so the timing path is untouched.
@@ -47,31 +48,8 @@ import numpy as np
 
 from ..errors import SanitizerError
 
-#: process-wide default installed by ``set_sanitize`` (CLI ``--sanitize``);
-#: ``None`` defers to the ``REPRO_SANITIZE`` environment variable.
-_DEFAULT_SANITIZE: Optional[bool] = None
-
-ENV_SANITIZE = "REPRO_SANITIZE"
+#: file every sanitizer failure is appended to (a CI artifact), if set
 ENV_REPORT = "REPRO_SANITIZE_REPORT"
-
-
-def set_sanitize(enabled: Optional[bool]) -> None:
-    """Install the process-wide sanitizer default (``None`` resets to
-    the ``REPRO_SANITIZE`` environment variable)."""
-    global _DEFAULT_SANITIZE
-    _DEFAULT_SANITIZE = None if enabled is None else bool(enabled)
-
-
-def sanitize_default() -> bool:
-    """The effective process-wide default."""
-    if _DEFAULT_SANITIZE is not None:
-        return _DEFAULT_SANITIZE
-    return os.environ.get(ENV_SANITIZE, "").strip() not in ("", "0")
-
-
-def resolve_sanitize(value: Optional[bool]) -> bool:
-    """Resolve a per-call ``sanitize`` argument against the default."""
-    return sanitize_default() if value is None else bool(value)
 
 
 def _report(error: SanitizerError) -> None:
@@ -352,11 +330,7 @@ class MachineSanitizer:
 
 __all__ = [
     "MachineSanitizer",
-    "set_sanitize",
-    "sanitize_default",
-    "resolve_sanitize",
     "describe_node",
     "fail",
-    "ENV_SANITIZE",
     "ENV_REPORT",
 ]

@@ -33,7 +33,7 @@ from .lowering import (
     PlanSpmPass,
     lowering_passes,
 )
-from .manager import PassManager, set_dump_ir
+from .manager import IrDump, PassManager
 from .optimize import (
     AnalyzeBoundaryPass,
     HoistDmaPass,
@@ -49,7 +49,7 @@ __all__ = [
     "PassContext",
     "PassRun",
     "PassManager",
-    "set_dump_ir",
+    "IrDump",
     "SPM_PLANNED",
     "DMA_GEOMETRY",
     "ALL_INVARIANTS",

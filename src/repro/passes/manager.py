@@ -33,9 +33,10 @@ Failure semantics:
 * a violation that a later pass repairs before the end of the run goes
   unreported: no consumer ever sees that IR.
 
-``--dump-ir`` support lives here too: :func:`set_dump_ir` arms a
-module-level dump configuration; the manager renders before/after
-snapshots of matching passes through :func:`repro.ir.printer.pretty`.
+``--dump-ir`` support lives here too: an :class:`IrDump` installed as
+``TuneOptions.dump_ir`` (:mod:`repro.options`) makes the manager
+render before/after snapshots of matching passes through
+:func:`repro.ir.printer.pretty`.
 """
 
 from __future__ import annotations
@@ -47,12 +48,20 @@ from typing import IO, FrozenSet, List, Optional, Sequence, Tuple
 from ..errors import PassVerificationError
 from ..ir.nodes import KernelNode
 from ..ir.printer import pretty
+from ..options import current
 from .base import Pass, PassContext, PassRun
 from .verifier import check_kernel
 
 
-class _DumpConfig:
-    """Module-level ``--dump-ir`` state (armed once per CLI run)."""
+class IrDump:
+    """Where and how much kernel IR ``--dump-ir`` prints.
+
+    ``spec`` is ``"all"`` or a single pass name; ``limit`` caps how many
+    manager *runs* get dumped (an autotuning sweep lowers thousands of
+    candidates -- dumping the first couple shows the pipeline without
+    drowning the terminal).  ``stream`` defaults to stderr so dumps
+    never pollute result tables on stdout.
+    """
 
     def __init__(
         self,
@@ -73,30 +82,9 @@ class _DumpConfig:
         return self.stream if self.stream is not None else sys.stderr
 
 
-_dump: Optional[_DumpConfig] = None
-
 #: one pass's output as recorded for verification: (pass name, kernel
 #: after the pass, invariants established at that point)
 _Output = Tuple[str, Optional[KernelNode], FrozenSet[str]]
-
-
-def set_dump_ir(
-    spec: Optional[str],
-    *,
-    limit: int = 2,
-    stream: Optional[IO[str]] = None,
-) -> None:
-    """Arm (or with ``None`` disarm) IR dumping for subsequent manager
-    runs.
-
-    ``spec`` is ``"all"`` or a single pass name; ``limit`` caps how many
-    manager *runs* get dumped (an autotuning sweep lowers thousands of
-    candidates -- dumping the first couple shows the pipeline without
-    drowning the terminal).  ``stream`` defaults to stderr so dumps
-    never pollute result tables on stdout.
-    """
-    global _dump
-    _dump = None if spec is None else _DumpConfig(spec, limit=limit, stream=stream)
 
 
 class PassManager:
@@ -130,7 +118,7 @@ class PassManager:
         self, ctx: PassContext, kernel: Optional[KernelNode] = None
     ) -> KernelNode:
         self.last_trace = []
-        dump = _dump
+        dump = current().dump_ir
         # a run only spends dump budget if it contains a matching pass
         # (--dump-ir=prefetch must not be eaten by lowering-only runs)
         dumping = (
@@ -173,7 +161,7 @@ class PassManager:
         p: Pass,
         ctx: PassContext,
         kernel: Optional[KernelNode],
-        dump: Optional[_DumpConfig],
+        dump: Optional[IrDump],
     ) -> Optional[KernelNode]:
         if dump is not None and dump.matches(p.name) and kernel is not None:
             print(

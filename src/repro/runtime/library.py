@@ -41,10 +41,10 @@ from ..engine.validate import compare_tensors
 from ..errors import SanitizerError, ValidationError, WorkloadError
 from ..harness.runner import CONV_RUNNERS, KernelStore, OperatorRun, run_gemm
 from ..machine.config import MachineConfig, default_config
-from ..machine.sanitizer import resolve_sanitize
 from ..machine.trace import SimReport
 from ..ops import conv2d_reference, select_method
 from ..ops.conv_common import ConvParams
+from ..options import current
 from .cache import KernelCache, TunedEntry
 
 #: sustained FLOP rate of the unported fallback path: one scalar FMA
@@ -52,6 +52,20 @@ from .cache import KernelCache, TunedEntry
 #: never-ported layers of :func:`~repro.runtime.network.run_network`
 #: and the quarantine fallback here are timed at this rate.
 MPE_FALLBACK_FLOPS = 2.2e9
+
+
+def mpe_fallback_report(
+    flops: float, config: MachineConfig, detail: str
+) -> SimReport:
+    """The timing of ``flops`` served by the unported MPE-side path."""
+    cycles = config.seconds_to_cycles(flops / MPE_FALLBACK_FLOPS)
+    return SimReport(
+        cycles=cycles,
+        compute_cycles=cycles,
+        flops=flops,
+        config=config,
+        detail=detail,
+    )
 
 #: library-level differential tolerances -- the operator-level bounds
 #: the runtime test-suite has always held tuned kernels to.
@@ -107,7 +121,7 @@ class AtopLibrary:
             KernelCache.load(self.cache_path) if self.cache_path else KernelCache()
         )
         #: validation mode for library calls (``None`` inherits the
-        #: process-wide default, see ``repro.engine.set_default_validate``)
+        #: run's ``TuneOptions``, see :mod:`repro.options`)
         self.validate = (
             validate if validate is None else resolve_validate(validate)
         )
@@ -317,7 +331,7 @@ class AtopLibrary:
         """The kernel store of ``key``: what earlier calls compiled for
         this very ``entry``, its current strategy and the sanitize mode
         now in force, or a fresh store in place of any other."""
-        stamp = (strategy_key(entry.strategy), resolve_sanitize(None))
+        stamp = (strategy_key(entry.strategy), current().sanitize)
         compiled = self._compiled.get(key)
         if compiled is None or compiled.entry is not entry or compiled.stamp != stamp:
             compiled = self._compiled[key] = _Compiled(entry, stamp)
@@ -386,16 +400,8 @@ class AtopLibrary:
                 KernelFallbackWarning,
                 stacklevel=3,
             )
-        seconds = flops / MPE_FALLBACK_FLOPS
-        report = SimReport(
-            cycles=self.config.seconds_to_cycles(seconds),
-            compute_cycles=self.config.seconds_to_cycles(seconds),
-            flops=flops,
-            config=self.config,
-            detail="validation-fallback",
-        )
         return OperatorRun(
-            report=report,
+            report=mpe_fallback_report(flops, self.config, "validation-fallback"),
             output=output,
             fallback_reason=f"{type(exc).__name__}: {exc}",
         )

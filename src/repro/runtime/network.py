@@ -21,7 +21,7 @@ from ..machine.trace import SimReport
 from ..ops import applicable_methods, conv2d_reference
 from ..ops.conv_common import ConvParams
 from ..workloads.networks import LayerSpec, network
-from .library import AtopLibrary, MPE_FALLBACK_FLOPS
+from .library import AtopLibrary, mpe_fallback_report
 
 #: layer methods that mean "the tuned kernel did not serve this layer":
 #: never-ported layers (``mpe-fallback``) and layers whose cached
@@ -134,15 +134,8 @@ def run_network(
             report = run.report
         else:
             out = conv2d_reference(x, w, params)
-            seconds = params.flops / MPE_FALLBACK_FLOPS
-            report = SimReport(
-                cycles=cfg.seconds_to_cycles(seconds),
-                compute_cycles=cfg.seconds_to_cycles(seconds),
-                flops=params.flops,
-                config=cfg,
-                detail="mpe-fallback",
-            )
             method = "mpe-fallback"
+            report = mpe_fallback_report(params.flops, cfg, method)
         results.append(
             LayerResult(spec=spec, params=params, method=method, report=report)
         )

@@ -221,11 +221,13 @@ class TestMachineSanitizer:
         assert err.node.startswith("gemm[")
         assert err.byte_range is not None
 
-    def test_sanitizer_off_by_default_and_costless(self, monkeypatch):
+    def test_sanitizer_off_by_default_and_costless(self):
         """Without opt-in the executor holds no sanitizer at all:
         results identical, ``sanitizer_checks`` unset."""
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        cd, ck = compiled()
+        from repro.options import TuneOptions, use
+
+        with use(sanitize=TuneOptions.from_env({}).sanitize):
+            cd, ck = compiled()
         feeds = _feeds()
         plain = ck.run(feeds)
         assert plain.sanitizer_checks is None

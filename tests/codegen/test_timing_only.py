@@ -179,22 +179,19 @@ class TestSanitizedGuard:
         assert plain.time_only(_feeds()).cycles > honest.cycles
 
     def test_simulator_evaluator_guarded_under_sanitizer(self, monkeypatch):
-        from repro.machine.sanitizer import set_sanitize
+        from repro.options import use
         from repro.scheduler import Candidate
 
         cd, ck = compiled()
         candidate = Candidate(None, ck.kernel, cd)
         feeds = _feeds()
         evaluator = SimulatorEvaluator(feeds)
-        set_sanitize(True)
-        try:
+        with use(sanitize=True):
             report = evaluator.evaluate(candidate).report
             assert report == CompiledKernel(ck.kernel, cd).run(feeds).report
             self.skew_data_free_dma(monkeypatch)
             with pytest.raises(SanitizerError):
                 evaluator.evaluate(candidate)
-        finally:
-            set_sanitize(None)
 
 
 def test_time_only_ignores_feed_values():

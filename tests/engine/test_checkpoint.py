@@ -15,11 +15,12 @@ from repro.dsl import ScheduleSpace
 from repro.engine import (
     AnalyticEvaluator,
     CandidatePipeline,
+    CheckpointPolicy,
     SearchCheckpoint,
     search_candidates,
-    set_default_checkpoint,
 )
 from repro.engine.checkpoint import CHECKPOINT_VERSION
+from repro.options import use
 from repro.persist import code_salt
 
 from ..scheduler.test_lower import gemm_cd
@@ -27,9 +28,8 @@ from ..scheduler.test_lower import gemm_cd
 
 @pytest.fixture(autouse=True)
 def no_default_checkpoint():
-    set_default_checkpoint(None)
-    yield
-    set_default_checkpoint(None)
+    with use(checkpoint=None):
+        yield
 
 
 def make_space():
@@ -193,21 +193,40 @@ class TestCheckpointValidation:
 
 class TestDefaultPolicy:
     def test_directory_policy_resumes_per_search(self, tmp_path):
-        set_default_checkpoint(tmp_path, resume=True)
-        first_pipe = make_pipeline()
-        first = run_search(first_pipe)
-        files = list(tmp_path.glob("search-*.json"))
-        assert len(files) == 1
+        with use(checkpoint=CheckpointPolicy(tmp_path, resume=True)):
+            first_pipe = make_pipeline()
+            first = run_search(first_pipe)
+            files = list(tmp_path.glob("search-*.json"))
+            assert len(files) == 1
 
-        second_pipe = make_pipeline()
-        second = run_search(second_pipe)
+            second_pipe = make_pipeline()
+            second = run_search(second_pipe)
         assert signature(second) == signature(first)
         assert second_pipe.metrics.prediction.count == 0  # resumed
 
+    def test_lowering_context_splits_policy_files(self, tmp_path):
+        """The two arms of a prefetch ablation search the same compute
+        and space with the same evaluator: each must get its own
+        checkpoint, never resume the other's scores."""
+        cd, sp = make_space()
+        arms = {
+            prefetch: signature(
+                run_search(CandidatePipeline(cd, sp, prefetch=prefetch))
+            )
+            for prefetch in (True, False)
+        }
+        assert arms[True] != arms[False]
+        with use(checkpoint=CheckpointPolicy(tmp_path, resume=True)):
+            for prefetch in (True, False, True, False):
+                pipe = CandidatePipeline(cd, sp, prefetch=prefetch)
+                assert signature(run_search(pipe)) == arms[prefetch]
+        assert len(list(tmp_path.glob("search-*.json"))) == 2
+
     def test_explicit_argument_beats_policy(self, tmp_path):
-        set_default_checkpoint(tmp_path / "policy-dir", resume=True)
+        policy = CheckpointPolicy(tmp_path / "policy-dir", resume=True)
         explicit = tmp_path / "explicit.json"
-        run_search(make_pipeline(), checkpoint=explicit)
+        with use(checkpoint=policy):
+            run_search(make_pipeline(), checkpoint=explicit)
         assert explicit.exists()
         assert not (tmp_path / "policy-dir").exists()
 

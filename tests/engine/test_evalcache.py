@@ -14,11 +14,10 @@ from repro.engine import (
     PersistentEvalStore,
     SearchCheckpoint,
     SimulatorEvaluator,
-    default_eval_store,
     evaluate_batch,
-    set_eval_cache,
 )
 from repro.engine.evalcache import EVAL_CACHE_VERSION
+from repro.options import current, use
 from repro.persist import _tree_digest, code_salt, quarantine_corrupt
 from repro.runtime import KernelCache
 
@@ -37,11 +36,9 @@ def candidate():
 
 @pytest.fixture
 def no_default_store():
-    """Isolate tests from any process-wide eval cache."""
-    before = default_eval_store()
-    set_eval_cache(None)
-    yield
-    set_eval_cache(before)
+    """Isolate tests from any run-wide eval cache."""
+    with use(eval_store=None):
+        yield
 
 
 class TestPersistentEvalStore:
@@ -200,9 +197,8 @@ class TestPersistentEvalStore:
 
 class TestProcessWideDefault:
     def test_memoizer_picks_up_installed_cache(self, tmp_path, candidate):
-        before = default_eval_store()
-        try:
-            store = set_eval_cache(tmp_path / "scores.json")
+        store = PersistentEvalStore(tmp_path / "scores.json")
+        with use(eval_store=store):
             sim = SimulatorEvaluator()
             memo = MemoizingEvaluator(sim, store={})  # no explicit disk
             assert memo.disk is store
@@ -213,28 +209,42 @@ class TestProcessWideDefault:
             again = MemoizingEvaluator(fresh, store={})
             again.evaluate(candidate)
             assert fresh.executions == 0
-        finally:
-            set_eval_cache(before)
+        assert memo.disk is current().eval_store  # resolved at lookup
 
     def test_explicit_none_disables_disk(self, tmp_path, candidate):
-        before = default_eval_store()
-        try:
-            set_eval_cache(tmp_path / "scores.json")
+        with use(eval_store=PersistentEvalStore(tmp_path / "scores.json")):
             memo = MemoizingEvaluator(SimulatorEvaluator(), store={}, disk=None)
             assert memo.disk is None
-        finally:
-            set_eval_cache(before)
 
     def test_batch_flushes_at_boundary(self, tmp_path, candidate):
-        before = default_eval_store()
-        try:
-            path = tmp_path / "scores.json"
-            set_eval_cache(path)
+        path = tmp_path / "scores.json"
+        with use(eval_store=PersistentEvalStore(path)):
             memo = MemoizingEvaluator(SimulatorEvaluator(), store={})
             evaluate_batch([candidate], memo)
             assert path.exists()  # no explicit flush() needed
-        finally:
-            set_eval_cache(before)
+
+    def test_scope_exit_flushes_the_store(self, tmp_path, candidate):
+        path = tmp_path / "scores.json"
+        store = PersistentEvalStore(path)
+        with use(eval_store=store):
+            MemoizingEvaluator(SimulatorEvaluator(), store={}).evaluate(
+                candidate
+            )
+            assert not path.exists()  # pending, not yet written
+        assert path.exists()
+        assert len(PersistentEvalStore(path)) == 1
+
+    def test_scope_exit_flushes_on_exception(self, tmp_path, candidate):
+        path = tmp_path / "scores.json"
+        before = current()
+        with pytest.raises(RuntimeError):
+            with use(eval_store=PersistentEvalStore(path)):
+                MemoizingEvaluator(SimulatorEvaluator(), store={}).evaluate(
+                    candidate
+                )
+                raise RuntimeError("interrupted")
+        assert current() is before
+        assert len(PersistentEvalStore(path)) == 1
 
 
 class TestQuarantineSidecars:

@@ -27,23 +27,16 @@ from repro.faults import (
     InjectedEvaluatorError,
     InjectedHang,
     candidate_digest,
-    set_fault_plan,
 )
+from repro.options import TuneOptions, current, use
 
 from ..scheduler.test_lower import gemm_cd
 
 
 @pytest.fixture(autouse=True)
 def clean_engine_state():
-    from repro.engine import set_default_checkpoint, set_eval_cache
-
-    set_fault_plan(None)
-    set_default_checkpoint(None)
-    set_eval_cache(None)
-    yield
-    set_fault_plan(None)
-    set_default_checkpoint(None)
-    set_eval_cache(None)
+    with use(faults=None, checkpoint=None, eval_store=None):
+        yield
 
 
 def make_pipeline(splits=(32, 64, 128)):
@@ -99,8 +92,11 @@ class TestFaultPlan:
             FaultPlan.parse(spec)
 
     def test_noop_plan_not_installed(self):
-        assert set_fault_plan(FaultPlan(seed=9)) is None
-        assert set_fault_plan(FaultPlan(seed=9, crash=0.1)) is not None
+        assert TuneOptions(faults=FaultPlan(seed=9)).faults is None
+        with use(faults=FaultPlan(seed=9)):
+            assert current().faults is None
+        with use(faults=FaultPlan(seed=9, crash=0.1)):
+            assert current().faults is not None
 
     def test_evaluator_raises_planned_sites(self):
         pipeline = make_pipeline((64, 128))
@@ -123,6 +119,24 @@ class TestFaultPlan:
         with pytest.raises(InjectedEvaluatorError):
             poisoned.evaluate(cands[0])
 
+    def test_draws_are_keyed_by_the_attempt_passed_in(self):
+        pipeline = make_pipeline((64, 128))
+        cand = next(pipeline.candidates())
+        digest = candidate_digest(cand)
+        from repro.faults import FaultyEvaluator
+
+        plan = FaultPlan(seed=3, crash=0.5)
+        faulty = FaultyEvaluator(AnalyticEvaluator(config=pipeline.config), plan)
+        fired = []
+        for attempt in range(8):
+            try:
+                faulty.evaluate(cand, attempt)
+                fired.append(False)
+            except InjectedCrash:
+                fired.append(True)
+        assert fired == [plan.should_fire("crash", digest, a) for a in range(8)]
+        assert True in fired and False in fired
+
 
 class TestSupervisedSerial:
     def test_transient_exceptions_recover_bit_identical(self):
@@ -134,13 +148,13 @@ class TestSupervisedSerial:
 
         # seed chosen so the plan fires on several candidates but never
         # three attempts in a row (which would be a quarantine)
-        set_fault_plan(FaultPlan(seed=2, exception=0.3))
         metrics = EngineMetrics()
-        faulty = evaluate_batch(
-            cands,
-            AnalyticEvaluator(config=pipeline.config),
-            metrics=metrics,
-        )
+        with use(faults=FaultPlan(seed=2, exception=0.3)):
+            faulty = evaluate_batch(
+                cands,
+                AnalyticEvaluator(config=pipeline.config),
+                metrics=metrics,
+            )
         assert metrics.retries > 0  # the plan really fired
         assert metrics.quarantined == 0  # transient: retries recovered all
         assert [e.cycles for e in faulty] == [e.cycles for e in clean]
@@ -152,15 +166,13 @@ class TestSupervisedSerial:
             cands, AnalyticEvaluator(config=pipeline.config)
         )
         victim = 3
-        set_fault_plan(
-            FaultPlan(poison=candidate_digest(cands[victim])[:12])
-        )
         metrics = EngineMetrics()
-        faulty = evaluate_batch(
-            cands,
-            AnalyticEvaluator(config=pipeline.config),
-            metrics=metrics,
-        )
+        with use(faults=FaultPlan(poison=candidate_digest(cands[victim])[:12])):
+            faulty = evaluate_batch(
+                cands,
+                AnalyticEvaluator(config=pipeline.config),
+                metrics=metrics,
+            )
         assert metrics.quarantined == 1
         assert isinstance(faulty[victim], FailedEvaluation)
         assert faulty[victim].site == "exception"
@@ -174,12 +186,12 @@ class TestSupervisedSerial:
     def test_quarantined_never_reaches_memo(self):
         pipeline = make_pipeline((64, 128))
         cands = list(pipeline.candidates())
-        set_fault_plan(FaultPlan(poison=candidate_digest(cands[0])[:12]))
         store = {}
         memo = MemoizingEvaluator(
             AnalyticEvaluator(config=pipeline.config), store=store, disk=None
         )
-        out = evaluate_batch(cands, memo)
+        with use(faults=FaultPlan(poison=candidate_digest(cands[0])[:12])):
+            out = evaluate_batch(cands, memo)
         assert out[0].failed
         assert len(store) == len(cands) - 1
 
@@ -189,13 +201,13 @@ class TestSupervisedSerial:
         clean = evaluate_batch(
             cands, AnalyticEvaluator(config=pipeline.config)
         )
-        set_fault_plan(FaultPlan(seed=5, crash=0.08, hang=0.08))
         metrics = EngineMetrics()
-        faulty = evaluate_batch(
-            cands,
-            AnalyticEvaluator(config=pipeline.config),
-            metrics=metrics,
-        )
+        with use(faults=FaultPlan(seed=5, crash=0.08, hang=0.08)):
+            faulty = evaluate_batch(
+                cands,
+                AnalyticEvaluator(config=pipeline.config),
+                metrics=metrics,
+            )
         # both sites really fired, and retries recovered every candidate
         retried_sites = {
             e.detail.split(" on ")[0]
@@ -216,13 +228,13 @@ class TestSupervisedSerial:
     def test_events_recorded(self):
         pipeline = make_pipeline((64, 128))
         cands = list(pipeline.candidates())
-        set_fault_plan(FaultPlan(poison=candidate_digest(cands[0])[:12]))
         metrics = EngineMetrics()
-        evaluate_batch(
-            cands,
-            AnalyticEvaluator(config=pipeline.config),
-            metrics=metrics,
-        )
+        with use(faults=FaultPlan(poison=candidate_digest(cands[0])[:12])):
+            evaluate_batch(
+                cands,
+                AnalyticEvaluator(config=pipeline.config),
+                metrics=metrics,
+            )
         counts = metrics.event_counts()
         assert counts.get("retry") == 2
         assert counts.get("quarantine") == 1
@@ -263,14 +275,14 @@ class TestAcceptanceScenario:
         store = PersistentEvalStore(cache_path)
         assert len(store) == 0
 
-        set_fault_plan(FaultPlan(seed=13, crash=0.05, poison=poison))
         chaos_pipe = make_pipeline()
         memo = MemoizingEvaluator(
             AnalyticEvaluator(config=chaos_pipe.config), store={}, disk=store
         )
-        chaos = search_candidates(
-            chaos_pipe, memo, prune=True, batch_size=8
-        )
+        with use(faults=FaultPlan(seed=13, crash=0.05, poison=poison)):
+            chaos = search_candidates(
+                chaos_pipe, memo, prune=True, batch_size=8
+            )
 
         # the sweep completed, quarantining exactly the poison candidate
         failed = [(c, e) for c, e in chaos if e.failed]
@@ -286,7 +298,6 @@ class TestAcceptanceScenario:
         assert chaos_best[1].cycles == ref_best[1].cycles
 
         # the store only holds healthy entries and flushes cleanly
-        set_fault_plan(None)
         store.flush()
         reloaded = PersistentEvalStore(cache_path)
         assert len(reloaded) == len(store)

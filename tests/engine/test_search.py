@@ -15,10 +15,7 @@ from repro.dsl import ScheduleSpace
 from repro.engine import (
     AnalyticEvaluator,
     CandidatePipeline,
-    default_prune,
-    resolve_prune,
     search_candidates,
-    set_default_prune,
     strategy_bound,
 )
 from repro.engine import pipeline as pipeline_module
@@ -26,6 +23,7 @@ from repro.machine.config import default_config
 from repro.ops import conv_implicit
 from repro.ops import gemm as gemm_ops
 from repro.ops.conv_common import ConvParams
+from repro.options import current, use
 
 from ..scheduler.test_lower import gemm_cd
 from .test_checkpoint import InterruptingEvaluator
@@ -162,28 +160,35 @@ class TestAccounting:
         assert pipe.metrics.bound_pruned == 0  # limit disables pruning
 
 
+def pruned_by(argument, option):
+    """How many strategies a search called with ``prune=argument``
+    pruned under ``use(prune=option)``."""
+    with use(prune=option):
+        pipe = make_pipeline(128, 128, 128, [32, 64])
+        search_candidates(
+            pipe, AnalyticEvaluator(config=pipe.config), prune=argument,
+            batch_size=1,
+        )
+    return pipe.metrics.bound_pruned
+
+
 class TestGlobalDefault:
-    def test_set_default_prune_round_trips(self):
-        before = default_prune()
-        try:
-            set_default_prune(False)
-            assert resolve_prune(None) is False
-            assert resolve_prune(True) is True
-            set_default_prune(True)
-            assert resolve_prune(None) is True
-            assert resolve_prune(False) is False
-        finally:
-            set_default_prune(before)
+    def test_prune_option_round_trips(self):
+        before = current()
+        with use(prune=False):
+            assert current().prune is False
+            with use(prune=True):
+                assert current().prune is True
+            assert current().prune is False
+        assert current() is before
+
+    def test_explicit_argument_beats_option(self):
+        assert pruned_by(True, False) > 0
+        assert pruned_by(None, True) > 0
+        assert pruned_by(False, True) == 0
 
     def test_search_honours_global_off(self):
-        before = default_prune()
-        try:
-            set_default_prune(False)
-            pipe = make_pipeline(128, 128, 128, [32, 64])
-            search_candidates(pipe, AnalyticEvaluator(config=pipe.config))
-            assert pipe.metrics.bound_pruned == 0
-        finally:
-            set_default_prune(before)
+        assert pruned_by(None, False) == 0
 
 
 def per_strategy_bounds(compute, space, config):

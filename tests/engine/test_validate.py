@@ -8,30 +8,20 @@ from repro.engine import (
     SimulatorEvaluator,
     ValidatingEvaluator,
     compare_tensors,
-    default_validate,
     reference_outputs,
     resolve_validate,
-    set_default_validate,
     synthetic_feeds,
     tolerance_for,
     validate_candidate,
     validation_digest,
 )
 from repro.errors import ValidationError
-from repro.faults import FaultPlan, compute_digest, set_fault_plan
-from repro.machine.sanitizer import set_sanitize
+from repro.faults import FaultPlan, compute_digest
+from repro.options import TuneOptions, use
 from repro.ops.conv_common import ConvParams
 from repro.ops import conv_implicit, conv_winograd, conv2d_reference
 from repro.ops.gemm import make_compute as gemm_compute
 from repro.ops.gemm import make_space as gemm_space
-
-
-@pytest.fixture(autouse=True)
-def _clean_process_state():
-    yield
-    set_default_validate(None)
-    set_sanitize(None)
-    set_fault_plan(None)
 
 
 def first_candidate(compute, space):
@@ -39,27 +29,33 @@ def first_candidate(compute, space):
     return pipeline, next(pipeline.candidates(limit=1))
 
 
+def env_options(environ):
+    """``use()`` changes installing ``TuneOptions.from_env(environ)``."""
+    return vars(TuneOptions.from_env(environ))
+
+
 class TestModes:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        set_default_validate(None)
-        assert default_validate() == "off"
-        assert resolve_validate(None) == "off"
+    def test_default_off(self):
+        with use(**env_options({})):
+            assert resolve_validate(None) == "off"
 
-    def test_sanitize_forces_all(self, monkeypatch):
-        set_default_validate(None)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert default_validate() == "all"
+    def test_sanitize_forces_all(self):
+        with use(**env_options({"REPRO_SANITIZE": "1"})):
+            assert resolve_validate(None) == "all"
+        with use(sanitize=True, validate=None):
+            assert resolve_validate(None) == "all"
 
-    def test_explicit_mode_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        set_default_validate("winner")
-        assert default_validate() == "winner"
-        assert resolve_validate("off") == "off"
+    def test_explicit_mode_wins(self):
+        with use(**env_options({"REPRO_SANITIZE": "1"})), use(validate="winner"):
+            assert resolve_validate(None) == "winner"
+            assert resolve_validate("off") == "off"
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
-            set_default_validate("sometimes")
+            TuneOptions(validate="sometimes")
+        with pytest.raises(ValueError):
+            with use(validate="sometimes"):
+                pass
         with pytest.raises(ValueError):
             resolve_validate("maybe")
 
@@ -136,9 +132,9 @@ class TestValidateCandidate:
         compute = gemm_compute(48, 48, 48)
         space = gemm_space(compute, quick=True)
         _, cand = first_candidate(compute, space)
-        set_fault_plan(FaultPlan(poison=compute_digest(compute)[:12]))
-        with pytest.raises(ValidationError):
-            validate_candidate(cand)
+        with use(faults=FaultPlan(poison=compute_digest(compute)[:12])):
+            with pytest.raises(ValidationError):
+                validate_candidate(cand)
 
     def test_pipeline_validate_counts_failures(self):
         compute = gemm_compute(48, 48, 48)
@@ -147,9 +143,9 @@ class TestValidateCandidate:
         pipeline.validate(cand)
         assert pipeline.metrics.validation.count == 1
         assert pipeline.metrics.validation_failures == 0
-        set_fault_plan(FaultPlan(poison=compute_digest(compute)[:12]))
-        with pytest.raises(ValidationError):
-            pipeline.validate(cand)
+        with use(faults=FaultPlan(poison=compute_digest(compute)[:12])):
+            with pytest.raises(ValidationError):
+                pipeline.validate(cand)
         assert pipeline.metrics.validation_failures == 1
         assert pipeline.metrics.event_counts().get("validation") == 1
 
@@ -174,8 +170,8 @@ class TestValidatingEvaluator:
         _, cand = first_candidate(compute, space)
         inner = SimulatorEvaluator(synthetic_feeds(compute))
         ev = ValidatingEvaluator(inner)
-        set_fault_plan(FaultPlan(poison=compute_digest(compute)[:12]))
-        result = ev.evaluate(cand)
+        with use(faults=FaultPlan(poison=compute_digest(compute)[:12])):
+            result = ev.evaluate(cand)
         assert result.failed
         assert result.site == "validation"
         assert ev.failures == 1

@@ -4,6 +4,7 @@ import pytest
 
 import repro.__main__ as cli
 from repro.harness.scales import Scale
+from repro.options import current
 
 TINY = Scale(
     name="tiny", spatial_scale=16, gemm_scale=16, batches=(32,),
@@ -38,25 +39,61 @@ class TestTables:
             cli.main(["fig99"])
 
     def test_dump_ir_prints_passes_to_stderr(self, capsys):
-        from repro.passes import set_dump_ir
-
-        try:
-            rc = cli.main(["fig10", "--scale", "smoke", "--dump-ir"])
-            assert rc == 0
-            captured = capsys.readouterr()
-            assert "IR after pass" in captured.err
-            assert "IR after pass" not in captured.out
-        finally:
-            set_dump_ir(None)
+        rc = cli.main(["fig10", "--scale", "smoke", "--dump-ir"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "IR after pass" in captured.err
+        assert "IR after pass" not in captured.out
 
     def test_dump_ir_filters_to_named_pass(self, capsys):
-        from repro.passes import set_dump_ir
+        rc = cli.main(["fig10", "--scale", "smoke", "--dump-ir", "prefetch"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "IR after pass 'prefetch'" in err
+        assert "build-loop-nest" not in err
 
-        try:
-            rc = cli.main(["fig10", "--scale", "smoke", "--dump-ir", "prefetch"])
-            assert rc == 0
-            err = capsys.readouterr().err
-            assert "IR after pass 'prefetch'" in err
-            assert "build-loop-nest" not in err
-        finally:
-            set_dump_ir(None)
+
+FLAGS = ["--no-prune", "--sanitize", "--validate", "winner", "--dump-ir"]
+
+
+class TestOptionsScope:
+    """``main()`` installs its flags for its own run only: a host
+    process calling it keeps its options afterwards."""
+
+    def test_restored_on_return(self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def tables(name, scale):
+            seen.append(current())
+            return iter(())
+
+        monkeypatch.setattr(cli, "_tables", tables)
+        before = current()
+        argv = ["fig10", *FLAGS, "--eval-cache", str(tmp_path / "ev.json"),
+                "--checkpoint", str(tmp_path / "ck"), "--resume",
+                "--inject-faults", "seed=1,crash=0.1"]
+        assert cli.main(argv) == 0
+        (inside,) = seen
+        assert (inside.prune, inside.sanitize, inside.validate) == (
+            False, True, "winner",
+        )
+        assert inside.checkpoint.resume and inside.dump_ir.spec == "all"
+        assert inside.eval_store is not None and inside.faults is not None
+        assert current() is before
+
+    def test_restored_on_system_exit(self, monkeypatch, capsys):
+        def tables(name, scale):
+            assert current().prune is False
+            raise SystemExit("stop")
+
+        monkeypatch.setattr(cli, "_tables", tables)
+        before = current()
+        with pytest.raises(SystemExit):
+            cli.main(["fig10", *FLAGS])
+        assert current() is before
+
+    def test_rejected_flags_install_nothing(self, capsys):
+        before = current()
+        with pytest.raises(SystemExit):
+            cli.main(["fig10", *FLAGS, "--inject-faults", "bogus=1"])
+        assert current() is before

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.autotuner import tune_with_model
-from repro.engine.search import default_prune, set_default_prune
+from repro.options import use
 from repro.harness import experiments as E
 from repro.ops import ConvParams, conv_implicit
 from repro.harness.report import Table, speedup_summary
@@ -112,14 +112,10 @@ class TestDrivers:
         # the black-box arm is scaled to the legal space, which must not
         # depend on how much the model arm's search prunes
         scales = {}
-        before = default_prune()
-        try:
-            for prune in (True, False):
-                set_default_prune(prune)
+        for prune in (True, False):
+            with use(prune=prune):
                 res = E.tab3_tuning_time(scale=TINY, networks=("vgg16",))
-                scales[prune] = [r.blackbox_scale for r in res.rows]
-        finally:
-            set_default_prune(before)
+            scales[prune] = [r.blackbox_scale for r in res.rows]
         assert scales[True] == scales[False]
         assert all(s >= 1.0 for s in scales[True])
 

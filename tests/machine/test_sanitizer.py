@@ -1,44 +1,50 @@
 """Unit tests for the machine sanitizer: the opt-in knobs and the SPM
 plan introspection the error messages rely on."""
 
-import pytest
+from repro.codegen import CompiledKernel
+from repro.options import TuneOptions, current, use
 
-from repro.machine.sanitizer import resolve_sanitize, sanitize_default, set_sanitize
 
+def plain_kernel(**kwargs):
+    from repro.codegen import compile_candidate
+    from repro.dsl import ScheduleSpace
+    from repro.scheduler import Candidate, lower_strategy
+    from ..scheduler.test_lower import gemm_cd
 
-@pytest.fixture(autouse=True)
-def _reset_knob():
-    yield
-    set_sanitize(None)
+    cd = gemm_cd(64, 64, 64)
+    sp = ScheduleSpace(cd)
+    sp.split("M", [32]); sp.split("N", [32]); sp.split("K", [32])
+    strat = sp.strategy()
+    ck = compile_candidate(Candidate(strat, lower_strategy(cd, strat), cd))
+    return CompiledKernel(ck.kernel, cd, **kwargs)
 
 
 class TestKnobs:
-    def test_default_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        set_sanitize(None)
-        assert sanitize_default() is False
-        assert resolve_sanitize(None) is False
+    def test_default_off(self):
+        assert TuneOptions.from_env({}).sanitize is False
+        with use(sanitize=False):
+            assert plain_kernel().sanitize is False
 
-    def test_env_enables(self, monkeypatch):
-        set_sanitize(None)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert sanitize_default() is True
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
-        assert sanitize_default() is False
+    def test_env_enables(self):
+        assert TuneOptions.from_env({"REPRO_SANITIZE": "1"}).sanitize is True
+        assert TuneOptions.from_env({"REPRO_SANITIZE": "yes"}).sanitize is True
+        assert TuneOptions.from_env({"REPRO_SANITIZE": "0"}).sanitize is False
+        assert TuneOptions.from_env({"REPRO_SANITIZE": ""}).sanitize is False
 
-    def test_set_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        set_sanitize(False)
-        assert sanitize_default() is False
-        set_sanitize(True)
-        assert sanitize_default() is True
+    def test_set_overrides_env(self):
+        base = TuneOptions.from_env({"REPRO_SANITIZE": "1"})
+        with use(**vars(base)):
+            with use(sanitize=False):
+                assert current().sanitize is False
+                assert plain_kernel().sanitize is False
+            with use(sanitize=True):
+                assert plain_kernel().sanitize is True
 
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        set_sanitize(False)
-        assert resolve_sanitize(True) is True
-        set_sanitize(True)
-        assert resolve_sanitize(False) is False
+    def test_explicit_argument_wins(self):
+        with use(sanitize=False):
+            assert plain_kernel(sanitize=True).sanitize is True
+        with use(sanitize=True):
+            assert plain_kernel(sanitize=False).sanitize is False
 
 
 class TestSpmPlanIntrospection:

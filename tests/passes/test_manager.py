@@ -10,12 +10,13 @@ from repro.engine import CandidatePipeline, EngineMetrics
 from repro.errors import IllegalCandidateError, PassVerificationError
 from repro.passes import (
     FunctionPass,
+    IrDump,
     PassContext,
     PassManager,
     lowering_passes,
     optimize_passes,
-    set_dump_ir,
 )
+from repro.options import use
 
 from ..scheduler.test_lower import gemm_cd
 
@@ -159,16 +160,13 @@ class TestFailureSemantics:
 
 
 class TestDumpIr:
-    def teardown_method(self):
-        set_dump_ir(None)
-
     def test_dump_all_prints_every_pass(self):
         cd, strategy = gemm_setup()
         buf = io.StringIO()
-        set_dump_ir("all", stream=buf)
-        PassManager([*lowering_passes(), *optimize_passes()]).run(
-            PassContext(compute=cd, strategy=strategy)
-        )
+        with use(dump_ir=IrDump("all", stream=buf)):
+            PassManager([*lowering_passes(), *optimize_passes()]).run(
+                PassContext(compute=cd, strategy=strategy)
+            )
         text = buf.getvalue()
         assert "IR after pass 'build-loop-nest'" in text
         assert "IR before pass 'prefetch'" in text
@@ -177,10 +175,10 @@ class TestDumpIr:
     def test_dump_filters_by_pass_name(self):
         cd, strategy = gemm_setup()
         buf = io.StringIO()
-        set_dump_ir("prefetch", stream=buf)
-        PassManager([*lowering_passes(), *optimize_passes()]).run(
-            PassContext(compute=cd, strategy=strategy)
-        )
+        with use(dump_ir=IrDump("prefetch", stream=buf)):
+            PassManager([*lowering_passes(), *optimize_passes()]).run(
+                PassContext(compute=cd, strategy=strategy)
+            )
         text = buf.getvalue()
         assert "IR after pass 'prefetch'" in text
         assert "build-loop-nest" not in text
@@ -188,12 +186,22 @@ class TestDumpIr:
     def test_dump_limit_caps_runs(self):
         cd, strategy = gemm_setup()
         buf = io.StringIO()
-        set_dump_ir("all", limit=1, stream=buf)
         manager = PassManager(lowering_passes())
-        manager.run(PassContext(compute=cd, strategy=strategy))
-        first = buf.getvalue()
-        manager.run(PassContext(compute=cd, strategy=strategy))
+        with use(dump_ir=IrDump("all", limit=1, stream=buf)):
+            manager.run(PassContext(compute=cd, strategy=strategy))
+            first = buf.getvalue()
+            manager.run(PassContext(compute=cd, strategy=strategy))
         assert buf.getvalue() == first  # second run not dumped
+
+    def test_nothing_dumped_outside_the_scope(self):
+        cd, strategy = gemm_setup()
+        buf = io.StringIO()
+        with use(dump_ir=IrDump("all", stream=buf)):
+            pass
+        PassManager(lowering_passes()).run(
+            PassContext(compute=cd, strategy=strategy)
+        )
+        assert buf.getvalue() == ""
 
 
 class TestPipelineStages:

@@ -6,7 +6,7 @@ result) -- the caller never sees garbage."""
 import numpy as np
 import pytest
 
-from repro.faults import FaultPlan, compute_digest, set_fault_plan
+from repro.faults import FaultPlan, compute_digest
 from repro.machine.config import default_config
 from repro.machine.trace import SimReport
 from repro.ops import conv2d_reference
@@ -21,12 +21,10 @@ from repro.runtime.network import FALLBACK_METHODS, LayerResult, NetworkResult
 from repro.workloads.networks import LayerSpec
 from repro.dsl.schedule import ScheduleStrategy
 from repro.ops.gemm import make_compute as gemm_compute
+from repro.options import use
 
 
-@pytest.fixture(autouse=True)
-def _no_fault_plan():
-    yield
-    set_fault_plan(None)
+POISON = FaultPlan(poison=compute_digest(gemm_compute(64, 32, 48))[:12])
 
 
 def gemm_feeds(m=64, n=32, k=48, seed=3):
@@ -58,15 +56,12 @@ class TestCorruptedKernelEndToEnd:
 
         # the kernel goes bad: every execution of this compute now
         # silently perturbs its outputs (repro.faults poison).
-        set_fault_plan(
-            FaultPlan(poison=compute_digest(gemm_compute(64, 32, 48))[:12])
-        )
-
-        # session 2: validated library over the same warm cache.
-        lib = AtopLibrary(quick=True, cache_path=path, validate="all")
-        assert key in lib.cache
-        with pytest.warns(KernelFallbackWarning):
-            run = lib.gemm(a, b)
+        with use(faults=POISON):
+            # session 2: validated library over the same warm cache.
+            lib = AtopLibrary(quick=True, cache_path=path, validate="all")
+            assert key in lib.cache
+            with pytest.warns(KernelFallbackWarning):
+                run = lib.gemm(a, b)
 
         # detected ...
         assert lib.stats.validations == 1
@@ -92,13 +87,10 @@ class TestCorruptedKernelEndToEnd:
         path = tmp_path / "kernels.json"
         warm = AtopLibrary(quick=True, cache_path=path, validate="off")
         warm.gemm(a, b)
-        set_fault_plan(
-            FaultPlan(poison=compute_digest(gemm_compute(64, 32, 48))[:12])
-        )
         lib = AtopLibrary(quick=True, cache_path=path, validate="all")
-        with pytest.warns(KernelFallbackWarning):
-            lib.gemm(a, b)
-        set_fault_plan(None)
+        with use(faults=POISON):
+            with pytest.warns(KernelFallbackWarning):
+                lib.gemm(a, b)
 
         run = lib.gemm(a, b)  # key quarantined -> re-tunes cleanly
         assert run.fallback_reason is None
@@ -114,26 +106,24 @@ class TestCorruptedKernelEndToEnd:
         assert again.fallback_reason is None
         assert lib.stats.validations == validations
 
-    def test_one_warning_per_key(self, tmp_path, monkeypatch):
+    def test_one_warning_per_key(self, tmp_path):
         """Repeated failures of one kernel warn once, not per call."""
         import warnings as warnings_mod
 
         # neutralize REPRO_SANITIZE: with it set the *tuner* would also
         # validate and refuse to re-tune the poisoned kernel at all --
         # this test is about the library-level single-warning contract.
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        a, b = gemm_feeds()
-        path = tmp_path / "kernels.json"
-        warm = AtopLibrary(quick=True, cache_path=path, validate="off")
-        warm.gemm(a, b)
-        set_fault_plan(
-            FaultPlan(poison=compute_digest(gemm_compute(64, 32, 48))[:12])
-        )
-        lib = AtopLibrary(quick=True, cache_path=path, validate="all")
-        with warnings_mod.catch_warnings(record=True) as caught:
-            warnings_mod.simplefilter("always")
-            lib.gemm(a, b)  # hit -> detected -> fallback (warns)
-            lib.gemm(a, b)  # miss -> re-tune -> still poisoned (silent)
+        with use(sanitize=False):
+            a, b = gemm_feeds()
+            path = tmp_path / "kernels.json"
+            warm = AtopLibrary(quick=True, cache_path=path, validate="off")
+            warm.gemm(a, b)
+            lib = AtopLibrary(quick=True, cache_path=path, validate="all")
+            with use(faults=POISON), \
+                    warnings_mod.catch_warnings(record=True) as caught:
+                warnings_mod.simplefilter("always")
+                lib.gemm(a, b)  # hit -> detected -> fallback (warns)
+                lib.gemm(a, b)  # miss -> re-tune -> still poisoned (silent)
         fallback_warnings = [
             w for w in caught
             if issubclass(w.category, KernelFallbackWarning)

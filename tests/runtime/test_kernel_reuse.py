@@ -13,10 +13,10 @@ from repro import persist
 from repro.codegen.executor import CompiledKernel
 from repro.dsl.schedule import ScheduleStrategy
 from repro.engine import validation_digest
-from repro.faults import FaultPlan, compute_digest, set_fault_plan
-from repro.machine.sanitizer import set_sanitize
+from repro.faults import FaultPlan, compute_digest
 from repro.ops.conv_common import ConvParams
 from repro.ops.gemm import make_compute as gemm_compute
+from repro.options import use
 from repro.passes.manager import PassManager
 from repro.runtime import AtopLibrary, KernelFallbackWarning, TunedEntry
 
@@ -80,10 +80,8 @@ def counted(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _plain_machine():
-    set_sanitize(False)
-    yield
-    set_sanitize(None)
-    set_fault_plan(None)
+    with use(sanitize=False):
+        yield
 
 
 @pytest.mark.parametrize("kind", sorted(CALLS))
@@ -126,12 +124,11 @@ def test_quarantined_key_never_serves_a_stored_kernel(counted):
     call(lib)  # tuned unvalidated: the next validated hit checks it
     key = lib.gemm_key(64, 32, 48)
     stale = list(lib._compiled[key].kernels.values())
-    set_fault_plan(FaultPlan(poison=compute_digest(gemm_compute(64, 32, 48))[:12]))
     lib.validate = "all"
-    with pytest.warns(KernelFallbackWarning):
+    poison = FaultPlan(poison=compute_digest(gemm_compute(64, 32, 48))[:12])
+    with use(faults=poison), pytest.warns(KernelFallbackWarning):
         assert call(lib).fallback_reason is not None
     assert key not in lib.cache and key not in lib._compiled
-    set_fault_plan(None)
     counts = counted()
     assert call(lib).fallback_reason is None
     assert lib.stats.tuned == 2
@@ -158,14 +155,14 @@ def test_kernels_of_another_sanitize_mode_are_not_served(counted):
     lib = AtopLibrary(quick=True)
     call = CALLS["implicit"]()
     call(lib)
-    set_sanitize(True)
-    counts = counted()
-    call(lib)
-    assert counts["compiled"] > 0
-    assert counts["ran"] and all(ck.sanitize for ck in counts["ran"])
-    counts = counted()
-    call(lib)  # the sanitized kernels are kept in turn
-    assert counts["compiled"] == 0
+    with use(sanitize=True):
+        counts = counted()
+        call(lib)
+        assert counts["compiled"] > 0
+        assert counts["ran"] and all(ck.sanitize for ck in counts["ran"])
+        counts = counted()
+        call(lib)  # the sanitized kernels are kept in turn
+        assert counts["compiled"] == 0
 
 
 class TestStridedTrustGate:
