@@ -38,11 +38,12 @@ from repro.primitives.microkernel import clear_schedule_memo
 FULL_SHAPES = [(512, 512, 512), (256, 384, 128)]
 QUICK_SHAPES = [(128, 128, 128), (96, 256, 64)]
 
-#: the injected failure mix: a 2% crash rate exercises per-candidate
-#: retry, a 25% flush-corruption rate exercises torn-write recovery of
-#: the eval cache.  Transient by construction (retries re-draw), so the
-#: winner must not move.
-CHAOS_PLAN = FaultPlan(seed=7, crash=0.02, corrupt=0.25)
+#: the injected failure mix: a 5% crash rate exercises per-candidate
+#: retry (about 2.4 expected crashes over the ~48 candidates the quick
+#: sweep scores), a 25% flush-corruption rate exercises torn-write
+#: recovery of the eval cache.  Transient by construction (retries
+#: re-draw), so the winner must not move.
+CHAOS_PLAN = FaultPlan(seed=7, crash=0.05, corrupt=0.25)
 
 
 def _cold_caches():

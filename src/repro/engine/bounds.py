@@ -32,16 +32,25 @@ admissibility"):
   margin below the structural floor that absorbs the Eq. (2) fit's
   local undershoot.
 
-A pipelined kernel can at best fully overlap the two, so the bound is
-their ``max()`` -- never their sum.  Any strategy the decoder cannot
-interpret gets the vacuous bound 0.0, which never prunes.
+A pipelined kernel can at best overlap the two, but not completely:
+the transfers outside every pipelined loop (hoisted preloads, the
+output write-back) and the fill share of the pipelined ones stay on the
+critical path, as in the paper's static model (Sec. 4.6).  The **serial
+floor** ``S`` charges each tensor's cheapest transfer once every time
+the longest loop enclosing it starts (its fill count, see
+:meth:`_DmaTerm.counts`), and the bound is ``max(T - S, C) + S`` for
+the DMA term ``T`` and the compute term ``C`` -- computed as the equal
+``max(T, C + S)``, which is never below ``max(T, C)``.  Any strategy
+the decoder cannot interpret gets the vacuous bound 0.0, which never
+prunes.
 
 The search bounds whole spaces at once (:func:`space_bounds`): the
-transfer counts and the zero-waste charge depend only on a strategy's
-skeleton (tiles and loop order), each tensor's cheapest transfer only
-on the tiles of its own axes and its ``layout:`` decision, and the
-compute term only on the kernel variant, so each is computed once per
-distinct value and broadcast over the space's decision product.
+transfer and fill counts and the zero-waste charge depend only on a
+strategy's skeleton (tiles and loop order), each tensor's cheapest
+transfer only on the tiles of its own axes and its ``layout:``
+decision, and the compute term only on the kernel variant, so each is
+computed once per distinct value and broadcast over the space's
+decision product.
 :func:`strategy_bound` is the same arithmetic for one strategy.
 
 The same pre-IR decode also yields :func:`definitely_infeasible`: a
@@ -104,15 +113,18 @@ class StrategyBound:
     compute_cycles: float
     transfers: int
     dma_bytes: float
+    #: the part of ``dma_cycles`` no pipeline can hide behind compute
+    serial_cycles: float
 
     @property
     def cycles(self) -> float:
-        """The admissible bound: DMA and compute fully overlapped."""
-        return max(self.dma_cycles, self.compute_cycles)
+        """The admissible bound: DMA overlapped with compute except for
+        the serial floor, ``max(T - S, C) + S == max(T, C + S)``."""
+        return max(self.dma_cycles, self.compute_cycles + self.serial_cycles)
 
 
 #: The never-prunes bound returned for undecodable strategies.
-VACUOUS = StrategyBound(0.0, 0.0, 0, 0.0)
+VACUOUS = StrategyBound(0.0, 0.0, 0, 0.0, 0.0)
 
 
 def _tiles(
@@ -244,8 +256,10 @@ class _DmaTerm:
     bandwidth and pays each transfer's fixed overheads once; the
     transfer charge multiplies each tensor's count by its
     :meth:`cheapest` transfer, which reads only the tiles of the
-    tensor's own axes and its ``layout:`` decision.  The cheapest
-    transfer of each tile shape is memoized for the life of the term.
+    tensor's own axes and its ``layout:`` decision.  The serial floor
+    multiplies each tensor's fill count by the same cheapest transfer.
+    The cheapest transfer of each tile shape is memoized for the life
+    of the term.
     """
 
     def __init__(self, compute: ComputeDef, cfg: MachineConfig) -> None:
@@ -270,9 +284,19 @@ class _DmaTerm:
 
     def counts(
         self, strategy: ScheduleStrategy
-    ) -> Optional[List[Tuple[int, int]]]:
-        """``(transfers, replication)`` of every tensor under maximal
-        hoisting; ``None`` when the skeleton is undecodable."""
+    ) -> Optional[List[Tuple[int, int, float]]]:
+        """``(transfers, replication, fill)`` of every tensor under
+        maximal hoisting; ``None`` when the skeleton is undecodable.
+
+        ``fill`` is how many of the transfers stay on the critical path
+        however the kernel is pipelined: ``transfers`` divided by the
+        largest trip count among the loops enclosing the transfer (1
+        for a tensor hoisted above every loop).  The cost model hides
+        at most ``(E - 1) / E`` of a transfer inside a pipelined loop of
+        extent ``E``, and charges every other transfer in full; taking
+        the largest enclosing trip count keeps that a floor when the
+        prefetch pass pipelines an outer loop, or the hoist pass leaves
+        a transfer deeper (more transfers per pipeline iteration)."""
         decoded = _decode(self.compute, strategy)
         if decoded is None:
             return None
@@ -288,24 +312,26 @@ class _DmaTerm:
             for i, axis in enumerate(loops):
                 if axis in tensor.indexing:
                     last = i
+            enclosing = loops[: last + 1]
             execs = 1
             replication = 1
-            for axis in loops[: last + 1]:
+            for axis in enclosing:
                 execs *= trips[axis]
                 if axis not in tensor.indexing:
                     replication *= trips[axis]
-            out.append((execs, replication))
+            longest = max((trips[axis] for axis in enclosing), default=1)
+            out.append((execs, replication, execs / longest))
         return out
 
     def traffic(
-        self, counts: List[Tuple[int, int]]
+        self, counts: List[Tuple[int, int, float]]
     ) -> Tuple[float, int, float]:
         """The zero-waste charge ``(cycles, transfers, bytes)``: fixed
         overheads once per transfer, every byte at peak bandwidth."""
         cfg = self.cfg
         transfers = 0
         total_bytes = 0.0
-        for tensor, (execs, replication) in zip(self.tensors, counts):
+        for tensor, (execs, replication, _) in zip(self.tensors, counts):
             transfers += execs
             total_bytes += math.prod(tensor.shape) * cfg.dtype_bytes * replication
         cycles = (
@@ -378,16 +404,19 @@ def strategy_bound(
         return VACUOUS
     flat_cycles, transfers, total_bytes = term.traffic(counts)
     charged = 0.0
-    for index, (execs, _) in enumerate(counts):
+    serial = 0.0
+    for index, (execs, _, fill) in enumerate(counts):
         cheapest = term.cheapest(index, strategy)
         if math.isnan(cheapest):
             return VACUOUS
         charged = charged + execs * cheapest
+        serial = serial + fill * cheapest
     return StrategyBound(
         dma_cycles=max(charged, flat_cycles),
         compute_cycles=_compute_cycles(compute, strategy, cfg),
         transfers=transfers,
         dma_bytes=total_bytes,
+        serial_cycles=serial,
     )
 
 
@@ -404,15 +433,16 @@ def space_bounds(
     a float64 array in enumeration order.
 
     Each factor of the bound is evaluated once per distinct combination
-    of the decisions it reads -- the transfer counts and the zero-waste
-    charge per skeleton (tiles and loop order), each tensor's cheapest
-    transfer per tiling of its own axes and its layout, the compute
-    term per kernel variant -- through the same helpers as
-    :func:`strategy_bound`, and laid out with size-1 axes for the
-    decisions it ignores.  The tensors' transfer charges are
-    broadcast-summed in ``compute.tensors`` order and combined as in
-    :func:`strategy_bound`, so every value is ``==``.  A skeleton or
-    layout the decoder cannot read bounds its strategies by 0.0.
+    of the decisions it reads -- the transfer and fill counts and the
+    zero-waste charge per skeleton (tiles and loop order), each
+    tensor's cheapest transfer per tiling of its own axes and its
+    layout, the compute term per kernel variant -- through the same
+    helpers as :func:`strategy_bound`, and laid out with size-1 axes
+    for the decisions it ignores.  The tensors' transfer charges and
+    serial floors are broadcast-summed in ``compute.tensors`` order and
+    combined as in :func:`strategy_bound`, so every value is ``==``.  A
+    skeleton or layout the decoder cannot read bounds its strategies
+    by 0.0.
     """
     cfg = config or default_config()
     keys, pools = space.pools()
@@ -435,18 +465,25 @@ def space_bounds(
         return values.reshape(shape + list(values.shape[1:]))
 
     dma_term = _DmaTerm(compute, cfg)
+    n_tensors = len(dma_term.tensors)
 
     def skeleton_terms(skeleton: ScheduleStrategy) -> Tuple[float, ...]:
-        """The zero-waste charge, then every tensor's transfer count."""
+        """The zero-waste charge, then every tensor's transfer count,
+        then every tensor's fill count."""
         counts = dma_term.counts(skeleton)
         if counts is None:
-            return (math.nan,) * (1 + len(dma_term.tensors))
-        return (dma_term.traffic(counts)[0], *(execs for execs, _ in counts))
+            return (math.nan,) * (1 + 2 * n_tensors)
+        return (
+            dma_term.traffic(counts)[0],
+            *(execs for execs, _, _ in counts),
+            *(fill for _, _, fill in counts),
+        )
 
     skeleton = term(
         [f"tile:{name}" for name in compute.axes] + ["order"], skeleton_terms
     )
     charged = 0.0
+    serial = 0.0
     for index, tensor in enumerate(dma_term.tensors):
         cheapest = term(
             [f"tile:{axis}" for axis in tensor.indexing]
@@ -454,12 +491,15 @@ def space_bounds(
             lambda s, index=index: dma_term.cheapest(index, s),
         )
         charged = charged + skeleton[..., 1 + index] * cheapest
+        serial = serial + skeleton[..., 1 + n_tensors + index] * cheapest
     dma = np.maximum(charged, skeleton[..., 0])
     compute_cycles = term(
         _VARIANT_KEYS, lambda variant: _compute_cycles(compute, variant, cfg)
     )
     cycles = np.empty([len(pool) for pool in pools])
-    cycles[...] = np.where(np.isnan(dma), 0.0, np.maximum(dma, compute_cycles))
+    cycles[...] = np.where(
+        np.isnan(dma), 0.0, np.maximum(dma, compute_cycles + serial)
+    )
     return cycles.ravel()
 
 

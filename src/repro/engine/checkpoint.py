@@ -57,7 +57,7 @@ def search_digest(
     compute_sig: Tuple,
     n_strategies: int,
     top_k: int,
-    batch: int,
+    schedule: Tuple[int, ...],
     evaluator,
     lowering: Tuple,
 ) -> str:
@@ -76,7 +76,7 @@ def search_digest(
         compute_sig,
         int(n_strategies),
         int(top_k),
-        int(batch),
+        tuple(int(b) for b in schedule),
         getattr(evaluator, "kind", "?"),
         repr(params),
         lowering,

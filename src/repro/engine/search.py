@@ -12,20 +12,24 @@ win nor enter the top-K.
 The driver is best-bound-first: the whole space is bounded up front
 (the bound terms are computed once per skeleton and per kernel variant
 and broadcast over the decision product), stably sorted by bound, and
-processed in fixed-size batches from the most promising end; only the
-strategies a batch takes are ever built.  That finds a near-optimal
-incumbent in the first batch, and because bounds are sorted, the first
-bound above the incumbent threshold proves *every* remaining strategy
-prunable -- the search stops in one step instead of trickling through
-the tail.
+processed in batches from the most promising end; only the strategies
+a batch takes are ever built.  Batches follow a growing schedule
+(:data:`PRUNE_SCHEDULE`): a small first batch finds a near-optimal
+incumbent without lowering strategies the bound would have pruned once
+it existed, and later batches grow while the space keeps proving
+hard.  Because bounds are sorted, the first bound above the incumbent
+threshold proves *every* remaining strategy prunable -- the search
+stops in one step instead of trickling through the tail.
 
 Determinism guarantees (tested in ``tests/engine/test_search.py``):
 
 * results are returned in enumeration order, so the caller's stable
   sort breaks score ties exactly as the exhaustive walk does;
-* the batch size is a constant (not derived from the host), so the
-  set of evaluated candidates -- and therefore every counter and the
-  winner -- is identical on every machine;
+* the schedule is a constant (not derived from the host), and the
+  size of a batch depends only on how many batches the search has
+  recorded, so the set of evaluated candidates -- and therefore every
+  counter and the winner -- is identical on every machine and across
+  an interrupt and resume;
 * the pruning threshold is strict (``bound * BOUND_SAFETY >
   threshold``), so candidates tying the k-th best score are always
   evaluated and the returned top-K matches the exhaustive one
@@ -67,12 +71,14 @@ from .evaluators import Evaluation, Evaluator, compute_signature
 from .parallel import evaluate_batch
 from .pipeline import CandidatePipeline
 
-__all__ = ["PRUNE_BATCH", "search_candidates"]
+__all__ = ["PRUNE_SCHEDULE", "search_candidates"]
 
-#: strategies realized + scored per branch-and-bound step.  A constant
-#: on purpose: deriving it from the host would make the set of
-#: evaluated candidates depend on the machine the search runs on.
-PRUNE_BATCH = 64
+#: strategies realized + scored per branch-and-bound step: the n-th
+#: batch of a search takes ``PRUNE_SCHEDULE[n]`` strategies, and the
+#: last entry repeats.  A constant on purpose: deriving it from the
+#: host would make the set of evaluated candidates depend on the
+#: machine the search runs on.
+PRUNE_SCHEDULE = (8, 16, 32, 64)
 
 
 def _exhaustive(
@@ -157,6 +163,8 @@ def search_candidates(
 
     ``limit`` (first N legal candidates, a blackbox-tuner notion whose
     meaning depends on enumeration order) forces the exhaustive path.
+    ``batch_size`` replaces :data:`PRUNE_SCHEDULE` with constant
+    batches of that size.
 
     ``checkpoint`` names a JSON sidecar updated atomically at every
     batch boundary; with ``resume`` the driver restores a matching
@@ -176,13 +184,13 @@ def search_candidates(
 
     metrics = pipeline.metrics
     keep = max(1, int(top_k))
-    batch = max(1, int(batch_size)) if batch_size else PRUNE_BATCH
+    schedule = (max(1, int(batch_size)),) if batch_size else PRUNE_SCHEDULE
 
     digest = search_digest(
         compute_signature(pipeline.compute),
         len(order),
         keep,
-        batch,
+        schedule,
         evaluator,
         (
             pipeline.options,
@@ -253,9 +261,14 @@ def search_candidates(
             metrics.record_prune_batch(considered=tail, pruned=tail, lowered=0)
             pos = len(order)
             break
-        # truncate the batch at the first bound above the threshold:
-        # bounds are sorted, so the next loop iteration's head check
-        # prunes everything from the cut onwards in one step.
+        # the batch index is the number of batches this search has
+        # recorded, so a resumed search picks the schedule up where the
+        # checkpoint's prune_batches left it.  Truncate the batch at the
+        # first bound above the threshold: bounds are sorted, so the
+        # next loop iteration's head check prunes everything from the
+        # cut onwards in one step.
+        done = len(metrics.prune_batches) - pb0
+        batch = schedule[min(done, len(schedule) - 1)]
         end = min(pos + batch, len(order))
         cut = pos + 1
         while (

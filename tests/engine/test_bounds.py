@@ -22,7 +22,7 @@ from repro.engine import (
     space_bounds,
     strategy_bound,
 )
-from repro.engine.bounds import VACUOUS
+from repro.engine.bounds import VACUOUS, _DmaTerm
 from repro.machine.config import default_config
 from repro.ops import conv_explicit, conv_implicit, conv_winograd
 from repro.ops import gemm as gemm_ops
@@ -94,19 +94,41 @@ class TestAdmissibilityVsMeasurement:
 
 
 class TestBoundStructure:
-    def test_bound_is_max_of_dma_and_compute(self):
+    def test_bound_adds_serial_floor_to_the_overlap(self):
         cd = gemm_cd(128, 128, 128)
         strategy = ScheduleStrategy(
             {"tile:M": 64, "tile:N": 64, "tile:K": 64}
         )
         bound = strategy_bound(cd, strategy)
-        assert bound.cycles == max(bound.dma_cycles, bound.compute_cycles)
+        # max(T - S, C) + S, computed as the equal max(T, C + S)
+        assert bound.cycles == max(
+            bound.dma_cycles, bound.compute_cycles + bound.serial_cycles
+        )
+        assert bound.cycles >= max(bound.dma_cycles, bound.compute_cycles)
+        assert 0 < bound.serial_cycles < bound.dma_cycles
         assert bound.transfers > 0 and bound.dma_bytes > 0
+
+    def test_fill_divides_by_the_largest_enclosing_trip_count(self):
+        cd = gemm_cd(128, 128, 128)
+        term = _DmaTerm(cd, default_config())
+        # loops M, N, K with 4, 2 and 2 trips: A and B move 16 times
+        # under all three, and C, hoisted above K, 8 times under M and
+        # N.  Each divides by M's 4 trips, not by its innermost loop's
+        # 2: a pipeline on M would hide all but a quarter of them.
+        tiled = ScheduleStrategy({"tile:M": 32, "tile:N": 64, "tile:K": 64})
+        assert term.counts(tiled) == [(16, 2, 4.0), (16, 4, 4.0), (8, 1, 2.0)]
+        # nothing tiled: every tensor is hoisted above every loop and
+        # moves once, all of it on the critical path -- nothing overlaps
+        whole = ScheduleStrategy({"tile:M": 128, "tile:N": 128, "tile:K": 128})
+        assert term.counts(whole) == [(1, 1, 1.0)] * 3
+        bound = strategy_bound(cd, whole)
+        assert bound.cycles == bound.compute_cycles + bound.serial_cycles
 
     def test_undecodable_strategy_gets_vacuous_bound(self):
         cd = gemm_cd(64, 64, 64)
         weird = ScheduleStrategy({"tile:M": "not-a-tile"})
         assert strategy_bound(cd, weird) == VACUOUS
+        assert VACUOUS.serial_cycles == 0.0
         assert VACUOUS.cycles == 0.0  # never prunes
 
     def test_slow_variant_has_larger_compute_bound(self):
@@ -206,10 +228,15 @@ class TestSpaceBounds:
     @pytest.mark.parametrize("kind", sorted(WHOLE_SPACES))
     def test_equals_strategy_bound_on_every_strategy(self, kind):
         cd, sp = WHOLE_SPACES[kind]()
-        per_strategy = [strategy_bound(cd, s).cycles for s in sp.strategies()]
+        terms = [strategy_bound(cd, s) for s in sp.strategies()]
+        per_strategy = [b.cycles for b in terms]
         bounds = space_bounds(cd, sp)
         assert bounds.dtype == np.float64
         assert bounds.tolist() == per_strategy
+        # the serial floor really moves values the broadcast must match
+        # (a strided phase is DMA-bound on every strategy)
+        lifted = sum(b.cycles > max(b.dma_cycles, b.compute_cycles) for b in terms)
+        assert lifted > 0 or kind in ("strided-phase", "undecodable")
         if kind == "undecodable":
             assert 0 < int((bounds == 0.0).sum()) < len(bounds)
 
@@ -243,6 +270,30 @@ CONV_SPACES["model-conv"] = lambda: (
     conv_implicit.make_compute(MODEL_CONV_LAYER),
     conv_implicit.make_space(MODEL_CONV_LAYER, quick=True),
 )
+#: one full space of the model-gemm benchmark workload
+CONV_SPACES["gemm"] = lambda: (lambda cd: (cd, gemm_ops.make_space(cd)))(
+    gemm_ops.make_compute(128, 128, 640)
+)
+
+
+def bound_vs_simulation(cd, sp, step):
+    """Check the space bound of every ``step``-th strategy against its
+    simulated cycles; returns how many strategies were checked."""
+    pipe = CandidatePipeline(cd, sp)
+    sim = SimulatorEvaluator()
+    bounds = space_bounds(cd, sp, pipe.config)
+    checked = 0
+    for index in range(0, sp.size(), step):
+        cand = pipe.realize(sp.strategy_at(index))
+        if cand is None:
+            continue
+        measured = sim.evaluate(cand).measured_cycles
+        assert bounds[index] * BOUND_SAFETY <= measured, (
+            f"bound {bounds[index]} > simulated {measured} "
+            f"for {cand.strategy.decisions}"
+        )
+        checked += 1
+    return checked
 
 
 def zero_waste_dma(bound, cfg):
@@ -256,7 +307,9 @@ def zero_waste_dma(bound, cfg):
 
 class TestConvAdmissibility:
     """The transfer charge reads layouts and boundary tiles, which GEMM
-    spaces barely exercise: check it over whole conv spaces."""
+    spaces barely exercise, and the serial floor reads where each
+    transfer sits: check both over whole conv spaces and a whole
+    model-gemm space."""
 
     @pytest.mark.parametrize("kind", sorted(CONV_SPACES))
     def test_bound_never_exceeds_predicted_score(self, kind):
@@ -279,25 +332,18 @@ class TestConvAdmissibility:
 
     def test_bound_never_exceeds_simulated_cycles(self):
         params = ConvParams(batch=4, ni=16, no=32, ri=6, ci=6, pad=1)
-        cd = conv_implicit.make_compute(params)
-        sp = conv_implicit.make_space(params)
-        pipe = CandidatePipeline(cd, sp)
-        sim = SimulatorEvaluator()
-        bounds = space_bounds(cd, sp, pipe.config)
-        checked = 0
         # every 37th of 1536 strategies: all orders, layouts and
         # vectorizations, varied tiles
-        for index in range(0, sp.size(), 37):
-            cand = pipe.realize(sp.strategy_at(index))
-            if cand is None:
-                continue
-            measured = sim.evaluate(cand).measured_cycles
-            assert bounds[index] * BOUND_SAFETY <= measured, (
-                f"bound {bounds[index]} > simulated {measured} "
-                f"for {cand.strategy.decisions}"
-            )
-            checked += 1
-        assert checked > 30
+        assert bound_vs_simulation(
+            conv_implicit.make_compute(params),
+            conv_implicit.make_space(params),
+            step=37,
+        ) > 30
+
+    def test_bound_never_exceeds_simulated_gemm_cycles(self):
+        # every 11th of the 2048 strategies a pruned black-box search of
+        # this model-gemm shape would rank on simulated cycles
+        assert bound_vs_simulation(*CONV_SPACES["gemm"](), step=11) > 150
 
     @pytest.mark.parametrize(
         "kind", ["explicit", "gemm-512", "model-conv", "strided-phase", "winograd"]

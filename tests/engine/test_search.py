@@ -5,6 +5,8 @@ returns.  Winner and top-K must be bit-identical to the exhaustive
 walk, for any machine config.
 """
 
+import functools
+import itertools
 import json
 
 import numpy as np
@@ -19,6 +21,8 @@ from repro.engine import (
     strategy_bound,
 )
 from repro.engine import pipeline as pipeline_module
+from repro.engine.checkpoint import search_digest
+from repro.engine.search import PRUNE_SCHEDULE
 from repro.machine.config import default_config
 from repro.ops import conv_implicit
 from repro.ops import gemm as gemm_ops
@@ -26,6 +30,7 @@ from repro.ops.conv_common import ConvParams
 from repro.options import current, use
 
 from ..scheduler.test_lower import gemm_cd
+from .test_bounds import CONV_SPACES, WHOLE_SPACES
 from .test_checkpoint import InterruptingEvaluator
 
 
@@ -97,8 +102,8 @@ class TestIdenticalResults:
         assert best_full[1].cycles == best_pruned[1].cycles
 
     def test_model_tuner_winner_identical(self):
-        # a space larger than one PRUNE_BATCH, so the tuner-level path
-        # really exercises the branch-and-bound driver
+        # a space larger than the first batch of PRUNE_SCHEDULE, so
+        # the tuner-level path really prunes part of it
         cd = gemm_cd(128, 128, 128)
         sp = ScheduleSpace(cd)
         sp.split("M", [16, 32, 48, 64, 128])
@@ -244,16 +249,105 @@ class TestSpaceBoundOracle:
 
     def test_resume_from_mid_search_checkpoint(self, tmp_path, monkeypatch):
         path = tmp_path / "ckpt.json"
-        # the search scores 18 strategies in batches of 8: the budget
+        # the search scores 9 strategies in batches of 4: the budget
         # banks one batch and interrupts the next
         with pytest.raises(KeyboardInterrupt):
             oracle_run(
-                "implicit", batch_size=8, checkpoint=path,
-                evaluator=InterruptingEvaluator(budget=10),
+                "implicit", batch_size=4, checkpoint=path,
+                evaluator=InterruptingEvaluator(budget=6),
             )
         banked = len(json.loads(path.read_text())["scored"])
         resumed = oracle_run(
-            "implicit", batch_size=8, checkpoint=path, resume=True
+            "implicit", batch_size=4, checkpoint=path, resume=True
         )
         assert 0 < banked < resumed[-1]  # it stopped mid-search
-        assert oracle_run("implicit", monkeypatch, batch_size=8) == resumed
+        assert oracle_run("implicit", monkeypatch, batch_size=4) == resumed
+
+
+class TestGrowingSchedule:
+    """The default search takes batches of ``PRUNE_SCHEDULE`` sizes, and
+    an interrupted one resumes into the same schedule position."""
+
+    def test_batches_follow_the_schedule(self):
+        # 60 strategies scored in batches of 8, 16, 32 and a 4 cut at
+        # the threshold, then the tail pruned in one step
+        batches = oracle_run("gemm")[3]
+        sizes = [b.considered for b in batches]
+        assert sizes[:3] == list(PRUNE_SCHEDULE[:3])
+        assert batches[-1].pruned == batches[-1].considered
+
+    def test_digest_covers_the_schedule(self):
+        args = (("sig",), 100, 1)
+        lowering = ("opts",)
+        digests = {
+            search_digest(*args, schedule, AnalyticEvaluator(), lowering)
+            for schedule in (PRUNE_SCHEDULE, (64,), (8,), (8, 16))
+        }
+        assert len(digests) == 4
+
+    def test_resume_at_every_batch_boundary(self, tmp_path):
+        clean = oracle_run("gemm")
+        lowered = [b.lowered for b in clean[3] if b.lowered]
+        assert len(lowered) >= 3
+        for done, budget in enumerate(itertools.accumulate(lowered[:-1]), 1):
+            path = tmp_path / f"ckpt{done}.json"
+            with pytest.raises(KeyboardInterrupt):
+                oracle_run(
+                    "gemm", checkpoint=path,
+                    evaluator=InterruptingEvaluator(budget=budget),
+                )
+            banked = json.loads(path.read_text())
+            # it stopped at the boundary after ``done`` batches
+            assert len(banked["prune_batches"]) == done
+            assert len(banked["scored"]) == budget
+            resumed = oracle_run("gemm", checkpoint=path, resume=True)
+            assert resumed == clean
+
+
+#: the prune-on == prune-off gate: a model-gemm shape, the model-conv
+#: quick space, a Winograd space and a strided phase
+GATE_SPACES = {
+    "gemm": ORACLE_SPACES["gemm"],
+    "model-conv": CONV_SPACES["model-conv"],
+    "winograd": WHOLE_SPACES["winograd"],
+    "strided-phase": WHOLE_SPACES["strided-phase"],
+}
+
+
+def ranking(pairs):
+    """``(decisions, cycles)`` of ``pairs`` stably sorted by cycles, as
+    the tuner ranks them."""
+    order = sorted(range(len(pairs)), key=lambda i: pairs[i][1].cycles)
+    return [
+        (tuple(sorted(pairs[i][0].strategy.decisions.items())),
+         pairs[i][1].cycles)
+        for i in order
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def exhaustive_ranking(kind):
+    cd, sp = GATE_SPACES[kind]()
+    pipe = CandidatePipeline(cd, sp)
+    return ranking(
+        search_candidates(
+            pipe, AnalyticEvaluator(config=pipe.config), prune=False
+        )
+    )
+
+
+class TestWholeSpacePruneEquivalence:
+    """Over whole spaces and under the default schedule, the pruned
+    search returns the exhaustive walk's winner and top-K."""
+
+    @pytest.mark.parametrize("kind", sorted(GATE_SPACES))
+    @pytest.mark.parametrize("top_k", [1, 3])
+    def test_winner_and_topk_match_prune_off(self, kind, top_k):
+        cd, sp = GATE_SPACES[kind]()
+        pipe = CandidatePipeline(cd, sp)
+        pruned = search_candidates(
+            pipe, AnalyticEvaluator(config=pipe.config), top_k=top_k,
+            prune=True,
+        )
+        assert pipe.metrics.bound_pruned > 0  # it really pruned
+        assert ranking(pruned)[:top_k] == exhaustive_ranking(kind)[:top_k]
