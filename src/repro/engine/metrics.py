@@ -75,8 +75,8 @@ class EngineMetrics:
     ``optimization``/``prediction``/``execution`` count candidates that
     actually went through the respective stage.  ``memo_hits`` counts
     evaluations answered from the shared memo instead of a stage;
-    ``ukernel_memo_hits`` counts micro-kernel pipeline schedules
-    answered from the schedule memo.  ``bound_pruned`` counts strategies
+    ``ukernel_memo_hits`` counts micro-kernel cycle lookups answered
+    from the micro-kernel table.  ``bound_pruned`` counts strategies
     skipped because their bound exceeded the incumbent, ``spm_pruned``
     those skipped by the SPM-infeasibility prefilter (a subset of
     ``EnumerationStats.pruned``).  ``passes`` breaks lowering +

@@ -10,7 +10,7 @@ latency has elapsed.
 The GEMM micro-kernels (Appendix 9) are *derived* from this model
 rather than hard-coded: ``primitives.microkernel`` builds the
 instruction sequence of one inner-loop iteration of each of the eight
-kernel variants and asks :func:`schedule` for its cycle count.  A
+kernel variants and schedules it by the rules of :func:`schedule`.  A
 hazard-free 4x4 register-blocked iteration comes out at 16 ``vmad`` in
 16 cycles -- the figure the paper quotes -- and unfavourable layouts
 come out slower because their extra scalar loads saturate P1.
@@ -19,7 +19,7 @@ come out slower because their extra scalar loads saturate P1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import PipelineError
 from .config import PIPE_ANY, PIPE_P0, PIPE_P1, MachineConfig, default_config
@@ -105,8 +105,8 @@ def schedule(
 
         # Structural hazard: the target pipe issues one instr/cycle.
         if pipe_class == PIPE_ANY:
-            # Greedy: pick the pipe that lets us issue soonest (ties -> P1
-            # to keep P0 free for arithmetic, as hand schedulers do).
+            # Greedy: pick the pipe that lets us issue soonest; ties go
+            # to P0, since min() compares the names and 'p0' < 'p1'.
             cand = []
             for pipe in (PIPE_P1, PIPE_P0):
                 cand.append((max(earliest, free_pipe[pipe] + 1), pipe))
@@ -132,7 +132,6 @@ def steady_state_cycles(
     *,
     warmup_iters: int = 3,
     probe_iters: int = 2,
-    schedule_fn: Optional[Callable[..., ScheduleResult]] = None,
 ) -> int:
     """Per-iteration cycle cost of ``body`` executed as a loop.
 
@@ -140,19 +139,14 @@ def steady_state_cycles(
     registers renamed per iteration *not* applied -- loop-carried names
     are kept, so accumulation hazards across iterations are honoured)
     and reports the marginal cost of one steady-state iteration.
-
-    ``schedule_fn`` substitutes for :func:`schedule` (same call
-    contract); the micro-kernel layer passes its memoized wrapper here
-    so repeated derivations of the same body are answered from cache.
     """
     if not body:
         return 0
     if warmup_iters < 1 or probe_iters < 1:
         raise PipelineError("need at least one warmup and one probe iteration")
-    run = schedule_fn or schedule
     seq_a = list(body) * warmup_iters
     seq_b = list(body) * (warmup_iters + probe_iters)
-    a = run(seq_a, config).cycles
-    b = run(seq_b, config).cycles
+    a = schedule(seq_a, config).cycles
+    b = schedule(seq_b, config).cycles
     per_iter = (b - a) / probe_iters
     return int(round(per_iter))

@@ -23,12 +23,12 @@ column- or row-major x vectorization along M or N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import PipelineError
 from ..machine import vector as V
-from ..machine.config import MachineConfig, config_signature, default_config
-from ..machine.pipeline import Instr, ScheduleResult, schedule, steady_state_cycles
+from ..machine.config import PIPE_P0, PIPE_P1, MachineConfig, config_signature, default_config
+from ..machine.pipeline import Instr
 
 #: layout tags: which dimension is contiguous (leading) in SPM.
 ROW_MAJOR = "row_major"  # innermost = second index (K for A(M,K), N for B(K,N))
@@ -155,24 +155,26 @@ def _k_step_instrs(variant: KernelVariant, phase: str, other: str) -> List[Instr
 
 
 # ---------------------------------------------------------------------------
-# memoized pipeline scheduling
+# the micro-kernel table
 # ---------------------------------------------------------------------------
-# The eight variants' cycle counts are re-derived thousands of times per
-# sweep (every calibration sample and every simulated GEMM leaf asks for
-# them).  The former per-function ``lru_cache`` keyed on the config
-# *object* was both wasteful -- the block-drain sequence is identical
-# across all eight variants, yet scheduled eight times -- and wrong:
-# dataclass hashing ignores the latency/pipe tables, so configs
-# differing only in instruction timing shared cached cycle counts.  The
-# memo below keys on (instruction-sequence signature, full machine
-# signature) instead.
+# Every calibration sample, simulated GEMM leaf and space bound asks
+# for these cycles, so all eight variants' (k_step, init, drain) are
+# derived at once into one table per ``config_signature`` (the config
+# object hashes without its latency and pipe tables).  The derivation
+# is ``schedule`` without its records, once per sequence: the greedy
+# in-order 3-copy k-step schedule is a prefix of the 5-copy one, and
+# the drain's store sequence is the same for every variant.
 
-_SCHEDULE_MEMO: Dict[Tuple, ScheduleResult] = {}
+#: (k_step, init, drain) cycles of one variant.
+Row = Tuple[float, int, int]
+
+_TABLES: Dict[tuple, Dict[KernelVariant, Row]] = {}
 
 
 @dataclass
 class ScheduleMemoStats:
-    """Hit/miss accounting of the micro-kernel schedule memo."""
+    """Hit/miss accounting of the micro-kernel table: a miss derives
+    one machine's table, a hit is an accessor call it answered."""
 
     hits: int = 0
     misses: int = 0
@@ -182,75 +184,96 @@ _MEMO_STATS = ScheduleMemoStats()
 
 
 def schedule_memo_stats() -> ScheduleMemoStats:
-    """A snapshot of the memo's hit/miss counters."""
+    """A snapshot of the table's hit/miss counters."""
     return ScheduleMemoStats(_MEMO_STATS.hits, _MEMO_STATS.misses)
 
 
 def clear_schedule_memo() -> None:
-    _SCHEDULE_MEMO.clear()
-    _CYCLE_MEMO.clear()
+    _TABLES.clear()
     _MEMO_STATS.hits = 0
     _MEMO_STATS.misses = 0
 
 
-def memoized_schedule(
-    instrs: List[Instr],
-    config: Optional[MachineConfig] = None,
-    *,
-    initial_ready: Optional[Dict[str, int]] = None,
-) -> ScheduleResult:
-    """:func:`~repro.machine.pipeline.schedule`, memoized.
-
-    The key is (instruction sequence, machine signature, initial
-    register readiness); :class:`Instr` is a frozen dataclass, so the
-    sequence hashes directly.
+def _issue_cycles(
+    instrs: Sequence[Instr], cfg: MachineConfig, initial_ready: Optional[Dict[str, int]] = None
+) -> List[int]:
+    """Issue cycle of each instruction, by the rules of
+    :func:`~repro.machine.pipeline.schedule`: RAW readiness, one issue
+    per pipe per cycle, in-order issue.  A ``PIPE_ANY`` op takes the
+    pipe that issues it soonest; ties go to P0.
     """
+    latency, pipes = cfg.latencies, cfg.pipes
+    ready = dict(initial_ready or {})
+    get = ready.get
+    cycle, p0, p1 = 0, -1, -1
+    out: List[int] = []
+    try:
+        for ins in instrs:
+            t = cycle
+            for src in ins.srcs:
+                r = get(src, 0)
+                if r > t:
+                    t = r
+            pipe = pipes[ins.op]
+            # PIPE_ANY: P0 issues at max(t, p0 + 1), P1 at max(t, p1 + 1)
+            if pipe == PIPE_P0 or (pipe != PIPE_P1 and (t > p0 or p0 <= p1)):
+                if t <= p0:
+                    t = p0 + 1
+                p0 = t
+            else:
+                if t <= p1:
+                    t = p1 + 1
+                p1 = t
+            cycle = t
+            if ins.dst is not None:
+                ready[ins.dst] = t + latency[ins.op]
+            out.append(t)
+    except KeyError as exc:
+        raise PipelineError(f"unknown instruction class {exc.args[0]!r}") from None
+    return out
+
+
+def _derive_table(cfg: MachineConfig) -> Dict[KernelVariant, Row]:
+    c_block = [f"c{i}_{j}" for i in range(BLOCK_VECS) for j in range(BLOCK_SCALARS)]
+    # the last vmads are still in flight when the stores begin: the
+    # accumulators are ready one full vmad latency in
+    stores = [V.store_vector(c, "cp") for c in c_block]
+    ready = {c: cfg.latencies["vmad"] for c in c_block}
+    drain = _issue_cycles(stores, cfg, ready)[-1] + 1
+    c_loads = [V.load_vector(c, "cp") for c in c_block]
+    table: Dict[KernelVariant, Row] = {}
+    for variant in ALL_VARIANTS:
+        odd = _k_step_instrs(variant, "o", "e")
+        body = _k_step_instrs(variant, "e", "o") + odd
+        cycles = _issue_cycles(body * 5, cfg)
+        k_step = int(round((cycles[-1] - cycles[3 * len(body) - 1]) / 2)) / 2.0
+        # load the C block, then prime the first k-step's operands (the
+        # loads of a step that prefetches into set "e")
+        init = c_loads + [ins for ins in odd if ins.op != "vmad"]
+        table[variant] = (k_step, _issue_cycles(init, cfg)[-1] + 1, drain)
+    return table
+
+
+def _row(variant: KernelVariant, config: Optional[MachineConfig]) -> Row:
     cfg = config or default_config()
-    key = (
-        tuple(instrs),
-        config_signature(cfg),
-        tuple(sorted((initial_ready or {}).items())),
-    )
-    hit = _SCHEDULE_MEMO.get(key)
-    if hit is not None:
+    sig = config_signature(cfg)
+    table = _TABLES.get(sig)
+    if table is None:
+        _MEMO_STATS.misses += 1
+        table = _TABLES[sig] = _derive_table(cfg)
+    else:
         _MEMO_STATS.hits += 1
-        return hit
-    _MEMO_STATS.misses += 1
-    result = schedule(instrs, cfg, initial_ready=initial_ready)
-    _SCHEDULE_MEMO[key] = result
-    return result
-
-
-_CYCLE_MEMO: Dict[Tuple, float] = {}
-
-
-def _variant_memo(name: str, variant: KernelVariant, cfg: MachineConfig):
-    key = (name, variant, config_signature(cfg))
-    hit = _CYCLE_MEMO.get(key)
-    if hit is not None:
-        _MEMO_STATS.hits += 1
-    return key, hit
+    return table[variant]
 
 
 def cycles_per_k_step(
     variant: KernelVariant, config: Optional[MachineConfig] = None
 ) -> float:
-    """Steady-state cycles of one k-step of the inner loop.
-
-    Derived from the pipeline model over the two-phase (rotated
-    register) body; a hazard-free variant comes out at 16 cycles/step
-    (one per vmad), matching Appendix 9.
-    """
-    cfg = config or default_config()
-    key, hit = _variant_memo("k_step", variant, cfg)
-    if hit is not None:
-        return hit
-    body = _k_step_instrs(variant, "e", "o") + _k_step_instrs(variant, "o", "e")
-    result = (
-        steady_state_cycles(body, cfg, schedule_fn=memoized_schedule) / 2.0
-    )
-    _CYCLE_MEMO[key] = result
-    return result
+    """Steady-state cycles of one k-step of the inner loop: half the
+    two-phase (rotated register) body's cost, as ``steady_state_cycles``
+    measures it.  A hazard-free variant comes out at 16 cycles/step
+    (one per vmad), matching Appendix 9."""
+    return _row(variant, config)[0]
 
 
 def block_init_cycles(
@@ -258,46 +281,13 @@ def block_init_cycles(
 ) -> int:
     """Cycles to load the 16-vector C block and prime the first k-step's
     operands before the steady-state loop starts."""
-    cfg = config or default_config()
-    key, hit = _variant_memo("block_init", variant, cfg)
-    if hit is not None:
-        return int(hit)
-    instrs = [
-        V.load_vector(f"c{i}_{j}", "cp")
-        for i in range(BLOCK_VECS)
-        for j in range(BLOCK_SCALARS)
-    ]
-    # prime first operands (sequence identical to a k-step's load set)
-    instrs += [ins for ins in _k_step_instrs(variant, "e", "e") if ins.op != "vmad"]
-    result = memoized_schedule(instrs, cfg).cycles
-    _CYCLE_MEMO[key] = result
-    return result
+    return _row(variant, config)[1]
 
 
 def block_drain_cycles(
     variant: KernelVariant, config: Optional[MachineConfig] = None
 ) -> int:
-    """Cycles to store the C block back to SPM after the last k-step.
-
-    The final vmads are still in flight when the stores begin, so the
-    drain is scheduled with the accumulators made ready only after one
-    full vmad latency.  The store sequence is variant-independent, so
-    all eight variants answer from one memo entry.
-    """
-    cfg = config or default_config()
-    key, hit = _variant_memo("block_drain", variant, cfg)
-    if hit is not None:
-        return int(hit)
-    ready = {
-        f"c{i}_{j}": cfg.latencies["vmad"]
-        for i in range(BLOCK_VECS)
-        for j in range(BLOCK_SCALARS)
-    }
-    instrs = [
-        V.store_vector(f"c{i}_{j}", "cp")
-        for i in range(BLOCK_VECS)
-        for j in range(BLOCK_SCALARS)
-    ]
-    result = memoized_schedule(instrs, cfg, initial_ready=ready).cycles
-    _CYCLE_MEMO[key] = result
-    return result
+    """Cycles to store the C block back to SPM after the last k-step,
+    with the accumulators ready only one vmad latency in (the same for
+    every variant)."""
+    return _row(variant, config)[2]

@@ -11,6 +11,7 @@ from dataclasses import fields, replace
 from typing import Mapping
 
 from repro.autotuner.calibrate import default_coeffs
+from repro.baselines.swtvm import naive_k_step_cycles
 from repro.dsl import ScheduleSpace
 from repro.engine import MemoizingEvaluator, SimulatorEvaluator
 from repro.machine.config import MachineConfig, config_signature, default_config
@@ -38,6 +39,16 @@ def fresh_signature(config: MachineConfig) -> tuple:
 def slow_vmad(base: MachineConfig) -> MachineConfig:
     return base.with_overrides(
         latencies={**base.latencies, "vmad": base.latencies["vmad"] + 32}
+    )
+
+
+def slow_loads(base: MachineConfig) -> MachineConfig:
+    return base.with_overrides(
+        latencies={
+            **base.latencies,
+            "vmad": base.latencies["vmad"] + 32,
+            "vldd": base.latencies["vldd"] + 20,
+        }
     )
 
 
@@ -93,6 +104,13 @@ class TestMemoKeysSplitLatencyTables:
         slow = slow_vmad(base)
         config_signature(base), config_signature(slow)
         assert cycles_per_k_step(v, slow) > cycles_per_k_step(v, base)
+
+    def test_swtvm_memo(self):
+        base = default_config()
+        slow = slow_loads(base)
+        config_signature(base), config_signature(slow)
+        naive = naive_k_step_cycles(base)  # cached first, as a stale key would
+        assert naive_k_step_cycles(slow) > naive
 
     def test_calibration_memo(self):
         base = default_config()

@@ -2,18 +2,25 @@
 
 import pytest
 
+from repro.autotuner.calibrate import default_coeffs, fit_all
 from repro.errors import PipelineError
+from repro.machine import vector as V
 from repro.machine.config import default_config
+from repro.machine.pipeline import schedule, steady_state_cycles
+from repro.primitives import gemm_kernel
 from repro.primitives.microkernel import (
     ALL_VARIANTS,
     COL_MAJOR,
     ROW_MAJOR,
     KernelVariant,
+    _k_step_instrs,
     block_drain_cycles,
     block_init_cycles,
     cycles_per_k_step,
     schedule_memo_stats,
 )
+
+from ..machine.test_config_signature import slow_loads, slow_vmad
 
 
 class TestVariantDefinitions:
@@ -115,3 +122,66 @@ class TestScheduleMemo:
         for v in ALL_VARIANTS:
             block_drain_cycles(v)
         assert schedule_memo_stats().hits == before + len(ALL_VARIANTS)
+
+
+def _old_derivation(variant, cfg):
+    """The derivation the table replaced: full ``schedule`` calls, the
+    3- and 5-copy bodies scheduled separately, the drain per variant."""
+    body = _k_step_instrs(variant, "e", "o") + _k_step_instrs(variant, "o", "e")
+    c_block = [f"c{i}_{j}" for i in range(4) for j in range(4)]
+    init = [V.load_vector(c, "cp") for c in c_block] + [
+        ins for ins in _k_step_instrs(variant, "e", "e") if ins.op != "vmad"
+    ]
+    drain = schedule(
+        [V.store_vector(c, "cp") for c in c_block],
+        cfg,
+        initial_ready={c: cfg.latencies["vmad"] for c in c_block},
+    )
+    return (
+        steady_state_cycles(body, cfg) / 2.0,
+        schedule(init, cfg).cycles,
+        drain.cycles,
+    )
+
+
+ORACLE_CONFIGS = {
+    "default": default_config(),
+    "slow_vmad": slow_vmad(default_config()),
+    "slow_loads": slow_loads(default_config()),
+}
+
+
+class TestTableMatchesOldDerivation:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_every_variant(self, name):
+        cfg = ORACLE_CONFIGS[name]
+        for v in ALL_VARIANTS:
+            row = (
+                cycles_per_k_step(v, cfg),
+                block_init_cycles(v, cfg),
+                block_drain_cycles(v, cfg),
+            )
+            assert row == _old_derivation(v, cfg), v.name
+
+    def test_default_table_pinned(self):
+        rows = [
+            (cycles_per_k_step(v), block_init_cycles(v), block_drain_cycles(v))
+            for v in ALL_VARIANTS
+        ]
+        assert [r[0] for r in rows] == [17, 33, 18, 18, 34, 34, 33, 17]
+        assert [r[1] for r in rows] == [27, 45, 25, 25, 47, 47, 45, 27]
+        assert {r[2] for r in rows} == {23}
+
+    def test_calibration_fits_through_old_derivation(self, monkeypatch):
+        """Eq. (2) coefficients fitted on the table equal those fitted
+        on the old derivation."""
+        cfg = default_config()
+        from_table = default_coeffs(cfg)
+        old = {v: _old_derivation(v, cfg) for v in ALL_VARIANTS}
+        for index, name in enumerate(
+            ("cycles_per_k_step", "block_init_cycles", "block_drain_cycles")
+        ):
+            monkeypatch.setattr(
+                gemm_kernel, name, lambda v, c, i=index: old[v][i]
+            )
+        assert fit_all(config=cfg) == from_table
