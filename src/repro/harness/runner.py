@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autotuner import TuningResult, tune_blackbox, tune_with_model
+from ..autotuner import TuningResult, tune_with_model
 from ..baselines import swdnn, xmath
 from ..codegen.executor import CompiledKernel
 from ..dsl.compute import ComputeDef
@@ -31,7 +31,7 @@ from ..dsl.schedule import ScheduleStrategy
 # candidate preparation/compilation is owned by the engine; the names
 # stay importable from here for existing callers
 from ..engine import clip_strategy, compile_strategy
-from ..errors import TuningError, WorkloadError
+from ..errors import WorkloadError
 from ..machine.config import MachineConfig, default_config
 from ..machine.spm import partition_extent
 from ..machine.trace import SimReport
@@ -74,23 +74,21 @@ class OperatorRun:
         return self.report.cycles
 
 
-def _tune(
-    compute: ComputeDef,
-    space,
-    tuner: str,
-    config: MachineConfig,
-    blackbox_limit: Optional[int],
+def _tune(compute: ComputeDef, space, config: MachineConfig) -> TuningResult:
+    # measure the top-2 predictions and keep the faster one -- the
+    # paper's "pick best (or top k)" refinement; two extra simulated
+    # runs per operator buy back most residual model error
+    return tune_with_model(compute, space, config=config, run_best=True, top_k=2)
+
+
+def _tune_lead(
+    shards: Sequence[ConvShard], op, quick: bool, config: MachineConfig, **variant
 ) -> TuningResult:
-    if tuner == "model":
-        # measure the top-2 predictions and keep the faster one -- the
-        # paper's "pick best (or top k)" refinement; two extra simulated
-        # runs per operator buy back most residual model error
-        return tune_with_model(
-            compute, space, config=config, run_best=True, top_k=2
-        )
-    if tuner == "blackbox":
-        return tune_blackbox(compute, space, config=config, limit=blackbox_limit)
-    raise TuningError(f"unknown tuner {tuner!r}")
+    """Tune the conv method module ``op`` on the shard with the most
+    work; every shard runs the winner (clipped to its extents)."""
+    lead = max(shards, key=lambda s: s.params.flops).params
+    compute = op.make_compute(lead, **variant)
+    return _tune(compute, op.make_space(lead, quick=quick, **variant), config)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +191,8 @@ def run_gemm(
     b: np.ndarray,
     *,
     library: str = "swatop",
-    tuner: str = "model",
     quick: bool = True,
     config: Optional[MachineConfig] = None,
-    blackbox_limit: Optional[int] = None,
     strategy: Optional[ScheduleStrategy] = None,
     kernels: Optional[KernelStore] = None,
 ) -> OperatorRun:
@@ -221,7 +217,7 @@ def run_gemm(
     tuning: Optional[TuningResult] = None
     if strategy is None:
         space = gemm_space(compute, quick=quick)
-        tuning = _tune(compute, space, tuner, cfg, blackbox_limit)
+        tuning = _tune(compute, space, cfg)
         strategy = tuning.best.candidate.strategy
         # the winner is lowered already
         kernels[shape] = CompiledKernel(tuning.best.candidate.kernel, compute, cfg)
@@ -239,11 +235,9 @@ def run_conv_implicit(
     w: np.ndarray,
     *,
     library: str = "swatop",
-    tuner: str = "model",
     quick: bool = True,
     config: Optional[MachineConfig] = None,
     collect_output: bool = True,
-    blackbox_limit: Optional[int] = None,
     strategy: Optional[ScheduleStrategy] = None,
     kernels: Optional[KernelStore] = None,
 ) -> OperatorRun:
@@ -256,10 +250,7 @@ def run_conv_implicit(
     tuning: Optional[TuningResult] = None
     if library == "swatop":
         if strategy is None:
-            lead = max(shards, key=lambda s: s.params.flops)
-            compute = conv_implicit.make_compute(lead.params)
-            space = conv_implicit.make_space(lead.params, quick=quick)
-            tuning = _tune(compute, space, tuner, cfg, blackbox_limit)
+            tuning = _tune_lead(shards, conv_implicit, quick, cfg)
             strategy = tuning.best.candidate.strategy
     elif library == "swdnn":
         if not swdnn.supported(params):
@@ -297,11 +288,9 @@ def run_conv_explicit(
     w: np.ndarray,
     *,
     library: str = "swatop",
-    tuner: str = "model",
     quick: bool = True,
     config: Optional[MachineConfig] = None,
     collect_output: bool = True,
-    blackbox_limit: Optional[int] = None,
     strategy: Optional[ScheduleStrategy] = None,
     kernels: Optional[KernelStore] = None,
 ) -> OperatorRun:
@@ -314,10 +303,7 @@ def run_conv_explicit(
     tuning: Optional[TuningResult] = None
     if library == "swatop":
         if strategy is None:
-            lead = max(shards, key=lambda s: s.params.flops)
-            compute = conv_explicit.make_compute(lead.params)
-            space = conv_explicit.make_space(lead.params, quick=quick)
-            tuning = _tune(compute, space, tuner, cfg, blackbox_limit)
+            tuning = _tune_lead(shards, conv_explicit, quick, cfg)
             strategy = tuning.best.candidate.strategy
     elif library != "manual":
         raise WorkloadError(f"unknown explicit-conv library {library!r}")
@@ -365,11 +351,9 @@ def run_conv_winograd(
     w: np.ndarray,
     *,
     library: str = "swatop",
-    tuner: str = "model",
     quick: bool = True,
     config: Optional[MachineConfig] = None,
     collect_output: bool = True,
-    blackbox_limit: Optional[int] = None,
     strategy: Optional[ScheduleStrategy] = None,
     variant: str = "f22",
     kernels: Optional[KernelStore] = None,
@@ -390,10 +374,8 @@ def run_conv_winograd(
             raise WorkloadError("variant='auto' is a swATOP feature")
         runs = [
             run_conv_winograd(
-                params, x, w, library=library, tuner=tuner, quick=quick,
-                config=cfg, collect_output=collect_output,
-                blackbox_limit=blackbox_limit, variant=name,
-                kernels=kernels,
+                params, x, w, library=library, quick=quick, config=cfg,
+                collect_output=collect_output, variant=name, kernels=kernels,
             )
             for name in ("f22", "f44")
         ]
@@ -411,10 +393,7 @@ def run_conv_winograd(
     tuning: Optional[TuningResult] = None
     if library == "swatop":
         if strategy is None:
-            lead = max(shards, key=lambda s: s.params.flops)
-            compute = conv_winograd.make_compute(lead.params, wv)
-            space = conv_winograd.make_space(lead.params, quick=quick, variant=wv)
-            tuning = _tune(compute, space, tuner, cfg, blackbox_limit)
+            tuning = _tune_lead(shards, conv_winograd, quick, cfg, variant=wv)
             strategy = tuning.best.candidate.strategy
     elif library != "manual":
         raise WorkloadError(f"unknown winograd library {library!r}")
@@ -488,10 +467,8 @@ def run_conv_strided(
     *,
     library: str = "swatop",
     method: str = "implicit",
-    tuner: str = "model",
     quick: bool = True,
     config: Optional[MachineConfig] = None,
-    blackbox_limit: Optional[int] = None,
     strategies: Optional[Sequence[ScheduleStrategy]] = None,
     kernels: Optional[Sequence[KernelStore]] = None,
 ) -> OperatorRun:
@@ -531,9 +508,8 @@ def run_conv_strided(
         ws = strided.phase_weight(w, params, phase)
         injected = strategies[i] if strategies is not None else None
         run = runner(
-            phase.params, xs, ws, library=library, tuner=tuner,
-            quick=quick, config=cfg, collect_output=True,
-            blackbox_limit=blackbox_limit, strategy=injected,
+            phase.params, xs, ws, library=library, quick=quick,
+            config=cfg, collect_output=True, strategy=injected,
             kernels=kernels[i] if kernels is not None else None,
         )
         out += run.output

@@ -94,7 +94,7 @@ def schedule(
     free_pipe = {PIPE_P0: -1, PIPE_P1: -1}  # last cycle each pipe issued
 
     for instr in instrs:
-        if instr.op not in cfg.latencies:
+        if instr.op not in cfg.latencies or instr.op not in cfg.pipes:
             raise PipelineError(f"unknown instruction class {instr.op!r}")
         pipe_class = cfg.pipes[instr.op]
 

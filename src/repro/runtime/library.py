@@ -32,18 +32,26 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..dsl.schedule import ScheduleStrategy
 from ..engine import resolve_validate, strategy_key, validation_digest
 from ..engine.validate import compare_tensors
 from ..errors import SanitizerError, ValidationError, WorkloadError
-from ..harness.runner import CONV_RUNNERS, KernelStore, OperatorRun, run_gemm
+from ..harness.runner import (
+    CONV_RUNNERS,
+    KernelStore,
+    OperatorRun,
+    run_conv_strided,
+    run_gemm,
+)
 from ..machine.config import MachineConfig, default_config
 from ..machine.trace import SimReport
-from ..ops import conv2d_reference, select_method
+from ..ops import conv2d_reference, select_method, strided
 from ..ops.conv_common import ConvParams
+from ..ops.conv_implicit import MIN_NI
 from ..options import current
 from .cache import KernelCache, TunedEntry
 
@@ -71,6 +79,25 @@ def mpe_fallback_report(
 #: the runtime test-suite has always held tuned kernels to.
 CONV_RTOL, CONV_ATOL = 1e-3, 1e-2
 GEMM_RTOL, GEMM_ATOL = 1e-4, 1e-3
+
+
+#: ``run(strategies, stores)`` runs one operator call: it tunes when
+#: ``strategies`` is None and replays them (one per cache key)
+#: otherwise; the kernels it compiles for each key land in its store
+Runner = Callable[[Optional[List[ScheduleStrategy]], List[KernelStore]], OperatorRun]
+
+
+def _tuned_entry(run: OperatorRun) -> List[TunedEntry]:
+    """The cache entry of a freshly tuned one-kernel run."""
+    assert run.tuning is not None
+    best = run.tuning.best
+    return [
+        TunedEntry(
+            strategy=best.candidate.strategy,
+            predicted_cycles=best.predicted_cycles,
+            measured_cycles=run.cycles,
+        )
+    ]
 
 
 class KernelFallbackWarning(UserWarning):
@@ -152,181 +179,106 @@ class AtopLibrary:
         """Tuned convolution; method auto-selected per the paper's
         policy unless forced.  A cached kernel that fails the sanitizer
         or differential validation is quarantined and the call served
-        by the reference fallback."""
+        by the reference fallback.
+
+        Strided convolutions go through the phase decomposition
+        (:mod:`repro.ops.strided`; implicit needs enough input
+        channels), with one cache key per phase.  The phases are served
+        and certified as one decomposition: a hit needs every phase key,
+        and a failure quarantines them all."""
         if params.stride > 1:
-            return self._conv2d_strided(x, w, params, method=method)
-        method = method or select_method(params)
-        if method not in CONV_RUNNERS:
-            raise WorkloadError(f"unknown conv method {method!r}")
-        key = self.conv_key(method, params)
-        entry = self.cache.get(key)
-        try:
-            if entry is None:
-                kernels: KernelStore = {}
-                run = CONV_RUNNERS[method](
-                    params, x, w, library="swatop",
-                    quick=self.quick, config=self.config, kernels=kernels,
+            method = method or ("implicit" if params.ni >= MIN_NI else "explicit")
+            keys = [
+                f"conv:strided:{method}:{params.describe()}:p{i}"
+                for i in range(len(strided.decompose(params)))
+            ]
+
+            def run(strategies, stores):
+                return run_conv_strided(
+                    params, x, w, library="swatop", method=method,
+                    quick=self.quick, config=self.config,
+                    strategies=strategies, kernels=stores,
                 )
-                assert run.tuning is not None
-                entry = TunedEntry(
-                    strategy=run.tuning.best.candidate.strategy,
-                    predicted_cycles=run.tuning.best.predicted_cycles,
-                    measured_cycles=run.cycles,
-                )
-                self.cache.put(key, entry)
-                self._kernels(key, entry).update(kernels)
-                self.stats.tuned += 1
-                self._certify(
-                    [key], [entry], run.output,
-                    lambda: conv2d_reference(x, w, params),
-                    rtol=CONV_RTOL, atol=CONV_ATOL,
-                )
-                self._autosave()
-            else:
-                self.stats.cache_hits += 1
-                # replay the cached strategy without re-tuning (what an
-                # offline-compiled library does at load time)
-                run = CONV_RUNNERS[method](
-                    params, x, w, library="swatop", config=self.config,
-                    strategy=entry.strategy, kernels=self._kernels(key, entry),
-                )
-                self._certify(
-                    [key], [entry], run.output,
-                    lambda: conv2d_reference(x, w, params),
-                    rtol=CONV_RTOL, atol=CONV_ATOL,
-                )
-        except (SanitizerError, ValidationError) as exc:
-            run = self._fallback(
-                [key], exc,
-                output=conv2d_reference(x, w, params),
-                flops=params.flops,
-            )
-        self.stats.simulated_cycles += run.cycles
-        return run
+
+            def entries_of(tuned: OperatorRun) -> List[TunedEntry]:
+                return [TunedEntry(strategy=s) for s in tuned.phase_strategies]
+
+        else:
+            method = method or select_method(params)
+            if method not in CONV_RUNNERS:
+                raise WorkloadError(f"unknown conv method {method!r}")
+            keys = [self.conv_key(method, params)]
+            run = self._single(CONV_RUNNERS[method], params, x, w)
+            entries_of = _tuned_entry
+        return self._serve(
+            keys, run, entries_of, lambda: conv2d_reference(x, w, params),
+            rtol=CONV_RTOL, atol=CONV_ATOL, flops=params.flops,
+        )
 
     def gemm(self, a: np.ndarray, b: np.ndarray) -> OperatorRun:
         m, k = a.shape
         n = b.shape[1]
-        key = self.gemm_key(m, n, k)
-        entry = self.cache.get(key)
-
-        def reference() -> np.ndarray:
-            return np.asarray(a, np.float64) @ np.asarray(b, np.float64)
-
-        try:
-            if entry is None:
-                kernels: KernelStore = {}
-                run = run_gemm(
-                    a, b, library="swatop", quick=self.quick,
-                    config=self.config, kernels=kernels,
-                )
-                assert run.tuning is not None
-                entry = TunedEntry(
-                    strategy=run.tuning.best.candidate.strategy,
-                    measured_cycles=run.cycles,
-                )
-                self.cache.put(key, entry)
-                self._kernels(key, entry).update(kernels)
-                self.stats.tuned += 1
-                self._certify(
-                    [key], [entry], run.output, reference,
-                    rtol=GEMM_RTOL, atol=GEMM_ATOL,
-                )
-                self._autosave()
-            else:
-                self.stats.cache_hits += 1
-                run = run_gemm(
-                    a, b, library="swatop", config=self.config,
-                    strategy=entry.strategy, kernels=self._kernels(key, entry),
-                )
-                self._certify(
-                    [key], [entry], run.output, reference,
-                    rtol=GEMM_RTOL, atol=GEMM_ATOL,
-                )
-        except (SanitizerError, ValidationError) as exc:
-            run = self._fallback(
-                [key], exc,
-                output=reference().astype(np.float32),
-                flops=2.0 * m * n * k,
-            )
-        self.stats.simulated_cycles += run.cycles
-        return run
-
-    def _conv2d_strided(
-        self,
-        x: np.ndarray,
-        w: np.ndarray,
-        params: ConvParams,
-        *,
-        method: Optional[str] = None,
-    ) -> OperatorRun:
-        """Strided convolutions go through the phase decomposition
-        (:mod:`repro.ops.strided`); each unit-stride phase hits the
-        ordinary tuned path.  Implicit needs enough input channels.
-
-        The winning per-phase strategies are cached under
-        ``conv:strided:`` keys, so repeat strided calls replay without
-        re-tuning, exactly like the unit-stride path.  The phases are
-        certified as one decomposition: one check of the summed output
-        stamps every phase entry, and a hit is trusted only while every
-        phase's digest is fresh.  A failing call quarantines *all*
-        phase keys and falls back to the reference.
-        """
-        from ..harness.runner import run_conv_strided
-        from ..ops import strided
-        from ..ops.conv_implicit import MIN_NI
-
-        method = method or ("implicit" if params.ni >= MIN_NI else "explicit")
-        n_phases = len(strided.decompose(params))
-        keys = [
-            f"conv:strided:{method}:{params.describe()}:p{i}"
-            for i in range(n_phases)
-        ]
-        entries = [self.cache.get(k) for k in keys]
-
-        def reference() -> np.ndarray:
-            return conv2d_reference(x, w, params)
-
-        try:
-            if all(e is not None for e in entries):
-                run = run_conv_strided(
-                    params, x, w, library="swatop", method=method,
-                    quick=self.quick, config=self.config,
-                    strategies=[e.strategy for e in entries],
-                    kernels=[self._kernels(k, e) for k, e in zip(keys, entries)],
-                )
-                self.stats.cache_hits += 1
-                self._certify(
-                    keys, entries, run.output, reference,
-                    rtol=CONV_RTOL, atol=CONV_ATOL,
-                )
-            else:
-                stores = [{} for _ in keys]
-                run = run_conv_strided(
-                    params, x, w, library="swatop", method=method,
-                    quick=self.quick, config=self.config, kernels=stores,
-                )
-                self.stats.tuned += 1
-                if run.phase_strategies is not None:
-                    entries = [TunedEntry(strategy=s) for s in run.phase_strategies]
-                    for key, entry, kernels in zip(keys, entries, stores):
-                        self.cache.put(key, entry, overwrite=True)
-                        self._kernels(key, entry).update(kernels)
-                    self._certify(
-                        keys, entries, run.output, reference,
-                        rtol=CONV_RTOL, atol=CONV_ATOL,
-                    )
-                    self._autosave()
-        except (SanitizerError, ValidationError) as exc:
-            run = self._fallback(
-                keys, exc,
-                output=conv2d_reference(x, w, params),
-                flops=params.flops,
-            )
-        self.stats.simulated_cycles += run.cycles
-        return run
+        return self._serve(
+            [self.gemm_key(m, n, k)], self._single(run_gemm, a, b), _tuned_entry,
+            lambda: np.asarray(a, np.float64) @ np.asarray(b, np.float64),
+            rtol=GEMM_RTOL, atol=GEMM_ATOL, flops=2.0 * m * n * k,
+        )
 
     # --- internals -----------------------------------------------------------
+    def _single(self, runner: Callable[..., OperatorRun], *args) -> Runner:
+        """The :data:`Runner` of a one-kernel operator."""
+        return lambda strategies, stores: runner(
+            *args, library="swatop", quick=self.quick, config=self.config,
+            strategy=strategies[0] if strategies else None, kernels=stores[0],
+        )
+
+    def _serve(
+        self,
+        keys: Sequence[str],
+        run: Runner,
+        entries_of: Callable[[OperatorRun], List[TunedEntry]],
+        reference: Callable[[], np.ndarray],
+        *,
+        rtol: float,
+        atol: float,
+        flops: float,
+    ) -> OperatorRun:
+        """Serve one call whose kernels are cached under ``keys``.
+
+        A hit (every key cached) replays the stored strategies on the
+        kernels kept for them; a miss tunes into fresh kernel stores and
+        caches ``entries_of`` the run.  Either way the output passes the
+        trust gate; a sanitizer or validation failure quarantines every
+        key and serves ``reference`` as the fallback."""
+        entries = [self.cache.get(k) for k in keys]
+        hit = all(e is not None for e in entries)
+        try:
+            if hit:
+                # replay the cached strategies without re-tuning (what
+                # an offline-compiled library does at load time)
+                self.stats.cache_hits += 1
+                out = run(
+                    [e.strategy for e in entries],
+                    [self._kernels(k, e) for k, e in zip(keys, entries)],
+                )
+            else:
+                stores: List[KernelStore] = [{} for _ in keys]
+                out = run(None, stores)
+                self.stats.tuned += 1
+                entries = entries_of(out)
+                for key, entry, kernels in zip(keys, entries, stores):
+                    self.cache.put(key, entry, overwrite=True)
+                    self._kernels(key, entry).update(kernels)
+            self._certify(keys, entries, out.output, reference, rtol=rtol, atol=atol)
+            if not hit:
+                self._autosave()
+        except (SanitizerError, ValidationError) as exc:
+            out = self._fallback(
+                keys, exc, output=reference().astype(np.float32), flops=flops
+            )
+        self.stats.simulated_cycles += out.cycles
+        return out
+
     def _kernels(self, key: str, entry: TunedEntry) -> KernelStore:
         """The kernel store of ``key``: what earlier calls compiled for
         this very ``entry``, its current strategy and the sanitize mode
@@ -398,7 +350,7 @@ class AtopLibrary:
                 f"({type(exc).__name__}: {exc}); serving the reference "
                 f"fallback",
                 KernelFallbackWarning,
-                stacklevel=3,
+                stacklevel=4,  # the caller of conv2d / gemm
             )
         return OperatorRun(
             report=mpe_fallback_report(flops, self.config, "validation-fallback"),

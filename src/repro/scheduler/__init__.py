@@ -1,6 +1,6 @@
 """Scheduler: schedule-space traversal and strategy lowering (Sec. 4.3)."""
 
-from .enumerate import Candidate, EnumerationStats, enumerate_candidates, iter_candidates
+from .enumerate import Candidate, EnumerationStats
 from .lower import (
     LoweringOptions,
     axis_of_dim,
@@ -19,8 +19,6 @@ from .transforms import (
 __all__ = [
     "Candidate",
     "EnumerationStats",
-    "enumerate_candidates",
-    "iter_candidates",
     "LoweringOptions",
     "lower_strategy",
     "reference_lower_strategy",

@@ -1,24 +1,21 @@
-"""Schedule-space enumeration: the Scheduler of Fig. 3.
+"""Schedule-space candidates: the Scheduler of Fig. 3.
 
-Traverses every strategy in a :class:`~repro.dsl.schedule.ScheduleSpace`,
-lowers it to IR, and keeps the legal ones as :class:`Candidate` objects.
-Illegal strategies (bad loop order, SPM overflow, no legal primitive)
+A :class:`Candidate` is one legal strategy of a
+:class:`~repro.dsl.schedule.ScheduleSpace` with its kernel IR.  The
+space is walked by :class:`~repro.engine.pipeline.CandidatePipeline`:
+illegal strategies (bad loop order, SPM overflow, no legal primitive)
 are pruned silently -- they are part of the declared space but not of
-the *valid* schedule space the autotuner ranks.
+the *valid* schedule space the autotuner ranks -- and counted in its
+:class:`EnumerationStats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional
 
 from ..dsl.compute import ComputeDef
-from ..dsl.schedule import ScheduleSpace, ScheduleStrategy
-from ..errors import IllegalCandidateError, TuningError
+from ..dsl.schedule import ScheduleStrategy
 from ..ir.nodes import KernelNode
-from ..machine.config import MachineConfig, default_config
-from ..primitives.registry import PrimitiveRegistry, default_registry
-from .lower import LoweringOptions, lower_strategy
 
 
 @dataclass
@@ -40,75 +37,3 @@ class EnumerationStats:
     declared: int = 0
     legal: int = 0
     pruned: int = 0
-
-
-def iter_candidates(
-    compute: ComputeDef,
-    space: ScheduleSpace,
-    *,
-    options: Optional[LoweringOptions] = None,
-    config: Optional[MachineConfig] = None,
-    registry: Optional[PrimitiveRegistry] = None,
-    stats: Optional[EnumerationStats] = None,
-    lower: Optional[Callable[..., KernelNode]] = None,
-) -> Iterator[Candidate]:
-    """Lazily lower every legal strategy of the space.
-
-    ``lower`` overrides how a strategy becomes IR (the engine passes
-    its instrumented pass-manager run here); it is called as
-    ``lower(compute, strategy, options=..., config=..., registry=...)``
-    and defaults to :func:`~repro.scheduler.lower.lower_strategy`.
-    """
-    cfg = config or default_config()
-    reg = registry or default_registry()
-    do_lower = lower or lower_strategy
-    for strategy in space.strategies():
-        if stats is not None:
-            stats.declared += 1
-        try:
-            kernel = do_lower(
-                compute, strategy, options=options, config=cfg, registry=reg
-            )
-        except IllegalCandidateError:
-            if stats is not None:
-                stats.pruned += 1
-            continue
-        if stats is not None:
-            stats.legal += 1
-        yield Candidate(strategy=strategy, kernel=kernel, compute=compute)
-
-
-def enumerate_candidates(
-    compute: ComputeDef,
-    space: ScheduleSpace,
-    *,
-    options: Optional[LoweringOptions] = None,
-    config: Optional[MachineConfig] = None,
-    registry: Optional[PrimitiveRegistry] = None,
-    limit: Optional[int] = None,
-) -> List[Candidate]:
-    """Materialise the legal schedule space (optionally capped).
-
-    Raises :class:`TuningError` when the space prunes to nothing --
-    an operator/space mismatch the caller should hear about rather than
-    silently tune over zero candidates.
-    """
-    stats = EnumerationStats()
-    out: List[Candidate] = []
-    for cand in iter_candidates(
-        compute,
-        space,
-        options=options,
-        config=config,
-        registry=registry,
-        stats=stats,
-    ):
-        out.append(cand)
-        if limit is not None and len(out) >= limit:
-            return out
-    if not out:
-        raise TuningError(
-            f"schedule space of {compute.name!r} pruned to zero candidates "
-            f"({stats.declared} declared)"
-        )
-    return out

@@ -131,12 +131,3 @@ class TestConvRunners:
         params, x, w, _ = conv_case
         with pytest.raises(WorkloadError):
             run_conv_implicit(params, x, w, library="swdnn")
-
-    def test_blackbox_tuner_path(self, conv_case):
-        params, x, w, ref = conv_case
-        run = run_conv_implicit(
-            params, x, w, library="swatop", tuner="blackbox",
-            quick=True, blackbox_limit=5,
-        )
-        np.testing.assert_allclose(run.output, ref, rtol=1e-3, atol=1e-2)
-        assert run.tuning.method == "blackbox"

@@ -19,6 +19,14 @@ def test_unknown_op_rejected():
         schedule([Instr.make("bogus", "x")])
 
 
+def test_op_with_latency_but_no_pipe_rejected():
+    cfg = default_config()
+    pipes = {op: pipe for op, pipe in cfg.pipes.items() if op != "iop"}
+    assert "iop" in cfg.latencies
+    with pytest.raises(PipelineError, match="'iop'"):
+        schedule([Instr.make("iop", "x")], cfg.with_overrides(pipes=pipes))
+
+
 def test_independent_ops_dual_issue():
     """A vmad (P0) and a vldd (P1) with no deps issue in the same cycle."""
     res = schedule(
