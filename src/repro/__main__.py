@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
-from .engine import CheckpointPolicy, PersistentEvalStore
+from .engine import PersistentEvalStore
 from .faults import FaultPlan
 from .harness import experiments as E
 from .harness.scales import SCALES, get_scale
@@ -83,22 +82,8 @@ def main(argv=None) -> int:
         metavar="PATH",
         help="persist evaluation scores to PATH (versioned JSON) and "
              "warm-start from it, so repeated runs skip re-measuring "
-             "strategies scored in earlier processes",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="DIR",
-        help="checkpoint every branch-and-bound search into DIR "
-             "(one versioned JSON sidecar per search, written "
-             "atomically at batch boundaries)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="restore matching checkpoints from the --checkpoint "
-             "directory before searching; an interrupted run finishes "
-             "with a bit-identical result",
+             "strategies scored in earlier processes; rerunning an "
+             "interrupted run with the same PATH resumes it",
     )
     parser.add_argument(
         "--inject-faults",
@@ -143,17 +128,11 @@ def main(argv=None) -> int:
              "pipeline runs are dumped to keep sweeps readable",
     )
     args = parser.parse_args(argv)
-    if args.resume and args.checkpoint is None:
-        parser.error("--resume requires --checkpoint DIR")
     # the flags given, as changes to the run options; installed only
     # for this run (see repro.options)
     changes = {}
     if args.no_prune:
         changes["prune"] = False
-    if args.checkpoint is not None:
-        changes["checkpoint"] = CheckpointPolicy(
-            Path(args.checkpoint), resume=args.resume
-        )
     if args.sanitize:
         changes["sanitize"] = True
     if args.validate is not None:

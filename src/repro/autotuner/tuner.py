@@ -24,8 +24,7 @@ quarantine supervision, with order-stable results.
 from __future__ import annotations
 
 import time
-from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -88,8 +87,6 @@ def _tune(
     limit: Optional[int] = None,
     memoize: bool,
     prune: Optional[bool],
-    checkpoint: Union[None, str, Path],
-    resume_from: Union[None, str, Path],
     validate: Optional[str],
 ) -> TuningResult:
     """Search -> measure -> validate.  ``method`` picks the ranking
@@ -98,10 +95,6 @@ def _tune(
     afterwards."""
     cfg = config or default_config()
     mode = resolve_validate(validate)
-    if resume_from is not None:
-        checkpoint, resume = resume_from, True
-    else:
-        resume = None
 
     simulator: Optional[Evaluator] = None
     if method == "blackbox" or measure:
@@ -131,8 +124,6 @@ def _tune(
         top_k=max(1, top_k),
         prune=prune,
         limit=limit,
-        checkpoint=checkpoint,
-        resume=resume,
     )
     if not pairs:
         raise TuningError(
@@ -235,8 +226,6 @@ def tune_blackbox(
     workers: int = 1,
     memoize: bool = False,
     prune: bool = False,
-    checkpoint: Union[None, str, Path] = None,
-    resume_from: Union[None, str, Path] = None,
     validate: Optional[str] = None,
 ) -> TuningResult:
     """Execute every legal candidate; return the measured best.
@@ -254,9 +243,7 @@ def tune_blackbox(
     holds against measured cycles too, so the winner is unchanged.
     ``keep_scores`` returns the scores in enumeration order.
 
-    ``checkpoint``, ``resume_from`` and ``validate`` behave exactly as
-    in :func:`tune_with_model` (the exhaustive path is a single batch
-    with nothing to resume).
+    ``validate`` behaves exactly as in :func:`tune_with_model`.
     """
     _check_workers(workers)
     return _tune(
@@ -272,8 +259,6 @@ def tune_blackbox(
         limit=limit,
         memoize=memoize,
         prune=bool(prune),
-        checkpoint=checkpoint,
-        resume_from=resume_from,
         validate=validate,
     )
 
@@ -293,8 +278,6 @@ def tune_with_model(
     workers: int = 1,
     memoize: bool = True,
     prune: Optional[bool] = None,
-    checkpoint: Union[None, str, Path] = None,
-    resume_from: Union[None, str, Path] = None,
     validate: Optional[str] = None,
 ) -> TuningResult:
     """Rank all candidates analytically; execute the best.
@@ -313,9 +296,6 @@ def tune_with_model(
     counters change.  ``keep_scores`` returns the scores in predicted
     order.
 
-    ``checkpoint`` names a sidecar the search updates at every batch
-    boundary; ``resume_from`` both names it and restores it, so an
-    interrupted tuning run finishes with a bit-identical result.
     Candidates quarantined by supervision (see DESIGN.md "Failure model
     & recovery") are excluded from ranking; tuning only fails if
     *every* candidate was quarantined.
@@ -343,7 +323,5 @@ def tune_with_model(
         top_k=top_k,
         memoize=memoize,
         prune=prune,
-        checkpoint=checkpoint,
-        resume_from=resume_from,
         validate=validate,
     )

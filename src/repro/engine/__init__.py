@@ -14,10 +14,10 @@ without ever existing as IR.
 
 Evaluation is supervised (:mod:`~repro.engine.parallel`): failing
 candidates are retried and then quarantined as
-:class:`FailedEvaluation` records instead of aborting the sweep, and
-the branch-and-bound driver checkpoints its state at batch boundaries
-(:mod:`~repro.engine.checkpoint`) so an interrupted sweep resumes to a
-bit-identical result.  See DESIGN.md "Failure model & recovery".
+:class:`FailedEvaluation` records instead of aborting the sweep.  An
+interrupted sweep resumes by running again over the same persistent
+eval store (:mod:`~repro.engine.evalcache`), which answers every score
+banked before the interrupt.  See DESIGN.md "Failure model & recovery".
 """
 
 from .bounds import (
@@ -27,7 +27,6 @@ from .bounds import (
     space_bounds,
     strategy_bound,
 )
-from .checkpoint import CheckpointPolicy, SearchCheckpoint, search_digest
 from .evalcache import PersistentEvalStore
 from .evaluators import (
     AnalyticEvaluator,
@@ -64,7 +63,6 @@ __all__ = [
     "AnalyticEvaluator",
     "BOUND_SAFETY",
     "CandidatePipeline",
-    "CheckpointPolicy",
     "EngineEvent",
     "EngineMetrics",
     "Evaluation",
@@ -73,7 +71,6 @@ __all__ = [
     "MemoizingEvaluator",
     "PersistentEvalStore",
     "PruneBatch",
-    "SearchCheckpoint",
     "SimulatorEvaluator",
     "StageStats",
     "StrategyBound",
@@ -91,7 +88,6 @@ __all__ = [
     "reference_outputs",
     "resolve_validate",
     "search_candidates",
-    "search_digest",
     "shared_memo_size",
     "space_bounds",
     "strategy_key",

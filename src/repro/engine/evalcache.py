@@ -30,6 +30,10 @@ Design points:
 * Writes are deferred: callers flush at batch boundaries
   (``evaluate_batch`` does this), so a tuning loop is never slowed by
   per-candidate disk traffic.
+* The store is also the resume format: the search is deterministic, so
+  rerunning an interrupted sweep over the same store takes the same
+  batches and answers every score flushed before the interrupt (see
+  DESIGN.md "Resuming a sweep").
 
 A store installed as ``TuneOptions.eval_store`` (:mod:`repro.options`;
 the CLI's ``--eval-cache PATH`` routes here) is picked up by every

@@ -48,9 +48,8 @@ class PruneBatch:
 
 @dataclass
 class EngineEvent:
-    """One explicit resilience event (retry, quarantine, checkpoint
-    restore, cache quarantine) -- the audit trail that replaces silent
-    fallback."""
+    """One explicit resilience event (retry, quarantine, failed
+    validation) -- the audit trail that replaces silent fallback."""
 
     kind: str
     detail: str

@@ -131,10 +131,6 @@ class MainMemory:
     def __contains__(self, name: str) -> bool:
         return name in self._buffers
 
-    @property
-    def bytes_allocated(self) -> int:
-        return self._next
-
     # --- functional access ----------------------------------------------
     def view(self, buf: Buffer) -> np.ndarray:
         """Writable NumPy view of the whole buffer (no copy)."""

@@ -47,9 +47,6 @@ class SpmPlan:
     total_bytes: int = 0
     capacity: int = 64 * 1024
 
-    def offset_of(self, name: str) -> int:
-        return self.buffers[name].offset
-
     def buffer_at(self, byte_offset: int) -> Optional[str]:
         """Name of the buffer whose reserved region contains
         ``byte_offset``, or ``None`` for a gap / past-the-end offset.

@@ -1,12 +1,12 @@
 """Run options: the one object behind every process-wide tuning knob.
 
-A tuning run has seven switches that reach far below the call that
+A tuning run has six switches that reach far below the call that
 starts it -- branch-and-bound pruning, differential validation, the
-machine sanitizer, search checkpoints, the persistent eval store, fault
-injection and IR dumping.  They live together in one frozen
-:class:`TuneOptions`; :func:`current` returns the installed object and
-:func:`use` installs a modified copy for the duration of a ``with``
-block, restoring the previous one on exit (exception or not)::
+machine sanitizer, the persistent eval store, fault injection and IR
+dumping.  They live together in one frozen :class:`TuneOptions`;
+:func:`current` returns the installed object and :func:`use` installs
+a modified copy for the duration of a ``with`` block, restoring the
+previous one on exit (exception or not)::
 
     with use(prune=False, sanitize=True):
         tune_with_model(compute, space)
@@ -15,8 +15,8 @@ The object is ambient rather than threaded through every signature:
 passing it explicitly would add a forwarding parameter to every
 experiment, runner, tuner, ``CompiledKernel``, ``PassManager`` and
 ``evaluate_batch``.  The per-call keywords (``prune=``, ``validate=``,
-``checkpoint=``/``resume_from=``, ``sanitize=``, ``disk=``) remain the
-explicit path and take precedence over the installed options.
+``sanitize=``, ``disk=``) remain the explicit path and take precedence
+over the installed options.
 
 At import the installed options come from :meth:`TuneOptions.from_env`,
 the only reader of ``REPRO_SANITIZE``; ``python -m repro`` scopes its
@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 if TYPE_CHECKING:
-    from .engine.checkpoint import CheckpointPolicy
     from .engine.evalcache import PersistentEvalStore
     from .faults import FaultPlan
     from .passes.manager import IrDump
@@ -68,10 +67,10 @@ class TuneOptions:
     ``validate`` the differential-validation mode, where ``None`` means
     ``"all"`` when ``sanitize`` is on and ``"off"`` otherwise;
     ``sanitize`` runs every kernel under the machine sanitizer;
-    ``checkpoint`` is the :class:`~repro.engine.checkpoint.CheckpointPolicy`
-    every search uses; ``eval_store`` the
+    ``eval_store`` is the
     :class:`~repro.engine.evalcache.PersistentEvalStore` of every
-    memoizing evaluator without an explicit ``disk``; ``faults`` the
+    memoizing evaluator without an explicit ``disk`` (rerunning an
+    interrupted sweep over the same store resumes it); ``faults`` the
     active :class:`~repro.faults.FaultPlan` (a no-op plan becomes
     ``None``); ``dump_ir`` an :class:`~repro.passes.manager.IrDump`.
     """
@@ -79,7 +78,6 @@ class TuneOptions:
     prune: bool = True
     validate: Optional[str] = None
     sanitize: bool = False
-    checkpoint: Optional["CheckpointPolicy"] = None
     eval_store: Optional["PersistentEvalStore"] = None
     faults: Optional["FaultPlan"] = None
     dump_ir: Optional["IrDump"] = None

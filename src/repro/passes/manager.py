@@ -110,10 +110,6 @@ class PassManager:
         self.stage = stage
         self.last_trace: List[PassRun] = []
 
-    @property
-    def pass_names(self) -> List[str]:
-        return [p.name for p in self.passes]
-
     def run(
         self, ctx: PassContext, kernel: Optional[KernelNode] = None
     ) -> KernelNode:

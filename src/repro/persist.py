@@ -1,8 +1,8 @@
 """The one persistence format: a versioned, salted JSON document.
 
-The eval store (scores), the kernel cache (tuned strategies) and the
-search checkpoints (resumable sweeps) outlive a process.  This module
-is the only code that reads or writes their envelope: a top-level JSON
+The eval store (scores, which also resume an interrupted sweep) and
+the kernel cache (tuned strategies) outlive a process.  This module is
+the only code that reads or writes their envelope: a top-level JSON
 object whose ``version`` (and, when salted, ``salt``) header comes
 first, followed by the type's own body fields.  What the body must
 contain is each type's own business.

@@ -29,6 +29,7 @@ entry's kernels are dropped.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -249,7 +250,9 @@ class AtopLibrary:
         kernels kept for them; a miss tunes into fresh kernel stores and
         caches ``entries_of`` the run.  Either way the output passes the
         trust gate; a sanitizer or validation failure quarantines every
-        key and serves ``reference`` as the fallback."""
+        key and serves ``reference`` as the fallback.  ``reference`` runs
+        at most once, whether certification, fallback or both need it."""
+        reference = functools.cache(reference)
         entries = [self.cache.get(k) for k in keys]
         hit = all(e is not None for e in entries)
         try:

@@ -9,10 +9,8 @@ import pytest
 from repro.dsl import ScheduleSpace
 from repro.engine import (
     CandidatePipeline,
-    Evaluation,
     MemoizingEvaluator,
     PersistentEvalStore,
-    SearchCheckpoint,
     SimulatorEvaluator,
     evaluate_batch,
 )
@@ -325,32 +323,7 @@ class _KernelCacheDoc:
         raw["entries"]["c"] = dict(raw["entries"]["a"], predicted_cycles="abc")
 
 
-class _CheckpointDoc:
-    name = "checkpoint"
-
-    @staticmethod
-    def write(path):
-        SearchCheckpoint(
-            space="s",
-            pos=2,
-            scored=[
-                (0, SearchCheckpoint.pack_eval(Evaluation(predicted_cycles=1.0))),
-                (1, SearchCheckpoint.pack_eval(Evaluation(predicted_cycles=2.0))),
-            ],
-        ).save(path)
-
-    @staticmethod
-    def load(path):
-        # a checkpoint is all-or-nothing: None when it is not trusted
-        state = SearchCheckpoint.load(path, expect_space="s")
-        return (0 if state is None else len(state.scored)), None
-
-    @staticmethod
-    def break_entry(raw):
-        raw["scored"].append(["not an index", {}])
-
-
-DOC_TYPES = [_EvalStoreDoc, _KernelCacheDoc, _CheckpointDoc]
+DOC_TYPES = [_EvalStoreDoc, _KernelCacheDoc]
 
 
 def _truncate(path):
@@ -376,10 +349,7 @@ CASES = {
     "valid": (None, {"*": (2, False, 0, False)}),
     "missing": (lambda p: p.unlink(), {"*": (0, False, 0, False)}),
     "unreadable": (_make_unreadable, {"*": (0, False, 0, False)}),
-    "truncated": (_truncate, {
-        "*": (1, True, 0, False),
-        "checkpoint": (0, False, 0, True),  # no entries prefix to keep
-    }),
+    "truncated": (_truncate, {"*": (1, True, 0, False)}),
     "garbage": (lambda p: p.write_bytes(b"\x00\xffnot json {"),
                 {"*": (0, False, 0, True)}),
     "not-object": (lambda p: p.write_text("[1, 2, 3]"),
@@ -390,10 +360,7 @@ CASES = {
         "*": (0, False, 0, False),
         "kernel-cache": (2, False, 0, False),  # unsalted by design
     }),
-    "malformed-entry": ("break_entry", {
-        "*": (2, False, 1, False),
-        "checkpoint": (0, False, 0, True),
-    }),
+    "malformed-entry": ("break_entry", {"*": (2, False, 1, False)}),
 }
 
 
@@ -463,29 +430,6 @@ class TestDocumentPolicy:
         }
         assert (entry.predicted_cycles, entry.measured_cycles) == (123.0, 150.0)
         assert entry.validation_digest == "abc"
-
-        ck = tmp_path / "search.json"
-        ck.write_text(
-            '{"version": 1, "salt": "%s", "space": "s", "pos": 3, '
-            '"worst_k": [-2.0, -1.0], "scored": [[0, {"predicted": 1.0, '
-            '"measured": null, "report": null}], [2, {"failed": true, '
-            '"site": "crash", "error_type": "InjectedCrash", '
-            '"error_message": "boom", "error_chain": ["InjectedCrash: boom"], '
-            '"attempts": 3}]], "counters": {"bound_pruned": 5, '
-            '"spm_pruned": 0, "quarantined": 0}, "prune_batches": '
-            '[[8, 5, 3]], "complete": false}' % salt
-        )
-        state = SearchCheckpoint.load(ck, expect_space="s")
-        assert (state.pos, state.worst_k, state.bound_pruned) == (3, [-2.0, -1.0], 5)
-        assert [idx for idx, _ in state.scored] == [0, 2]
-        failed = SearchCheckpoint.unpack_eval(state.scored[1][1], None)
-        assert failed.failed and failed.attempts == 3
-        # a re-save writes the same document back (prune batches,
-        # counters and the version header included)
-        state.save(tmp_path / "again.json")
-        assert json.loads((tmp_path / "again.json").read_text()) == json.loads(
-            ck.read_text()
-        )
 
 
 class TestCodeSalt:

@@ -35,7 +35,7 @@ from ..scheduler.test_lower import gemm_cd
 
 @pytest.fixture(autouse=True)
 def clean_engine_state():
-    with use(faults=None, checkpoint=None, eval_store=None):
+    with use(faults=None, eval_store=None):
         yield
 
 

@@ -70,14 +70,13 @@ class TestOptionsScope:
         monkeypatch.setattr(cli, "_tables", tables)
         before = current()
         argv = ["fig10", *FLAGS, "--eval-cache", str(tmp_path / "ev.json"),
-                "--checkpoint", str(tmp_path / "ck"), "--resume",
                 "--inject-faults", "seed=1,crash=0.1"]
         assert cli.main(argv) == 0
         (inside,) = seen
         assert (inside.prune, inside.sanitize, inside.validate) == (
             False, True, "winner",
         )
-        assert inside.checkpoint.resume and inside.dump_ir.spec == "all"
+        assert inside.dump_ir.spec == "all"
         assert inside.eval_store is not None and inside.faults is not None
         assert current() is before
 

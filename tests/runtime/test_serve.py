@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from repro.codegen.executor import CompiledKernel
-from repro.errors import SanitizerError
+from repro.errors import SanitizerError, ValidationError
 from repro.ops import conv2d_reference
 from repro.ops.conv_common import ConvParams
 from repro.options import use
 from repro.runtime import AtopLibrary, KernelFallbackWarning
+from repro.runtime import library
 
 UNIT = ConvParams(batch=4, ni=16, no=16, ri=6, ci=6, kr=3, kc=3, pad=1)
 STRIDED = ConvParams(batch=4, ni=16, no=16, ri=10, ci=10, kr=3, kc=3,
@@ -78,3 +79,29 @@ def test_one_set_of_books_for_every_call_kind(kind, monkeypatch):
     assert run.fallback_reason.startswith("SanitizerError")
     np.testing.assert_allclose(run.output, expected, rtol=1e-4, atol=1e-3)
     assert lib.stats.simulated_cycles == cold.cycles + run.cycles
+
+
+def _certification_fails(*args, **kwargs):
+    raise ValidationError("injected certification failure")
+
+
+@pytest.mark.parametrize("kind", sorted(CALLS))
+def test_failed_certification_computes_the_reference_once(kind, monkeypatch):
+    call, expected = CALLS[kind]()
+    calls = []
+    serve = AtopLibrary._serve
+
+    def counting_serve(self, keys, run, entries_of, reference, **kwargs):
+        def counted():
+            calls.append(1)
+            return reference()
+        return serve(self, keys, run, entries_of, counted, **kwargs)
+
+    monkeypatch.setattr(AtopLibrary, "_serve", counting_serve)
+    monkeypatch.setattr(library, "compare_tensors", _certification_fails)
+    lib = AtopLibrary(quick=True, validate="all")
+    with pytest.warns(KernelFallbackWarning):
+        run = call(lib)
+    assert run.fallback_reason.startswith("ValidationError")
+    assert len(calls) == 1
+    np.testing.assert_allclose(run.output, expected, rtol=1e-4, atol=1e-3)

@@ -20,10 +20,9 @@ GLOBALS_ALLOWED = {
 }
 
 
-def test_exactly_the_seven_knobs():
+def test_exactly_the_six_knobs():
     assert [f.name for f in dataclasses.fields(TuneOptions)] == [
-        "prune", "validate", "sanitize", "checkpoint",
-        "eval_store", "faults", "dump_ir",
+        "prune", "validate", "sanitize", "eval_store", "faults", "dump_ir",
     ]
 
 
