@@ -124,8 +124,10 @@ def main(argv=None) -> int:
         metavar="PASS",
         help="print kernel IR around pipeline passes to stderr "
              "(no value: every pass; with a value: only that pass, "
-             "e.g. --dump-ir prefetch); only the first couple of "
-             "pipeline runs are dumped to keep sweeps readable",
+             "e.g. --dump-ir prefetch; decode-strategy and plan-spm "
+             "run before any IR exists and print nothing); only the "
+             "first couple of pipeline runs are dumped to keep sweeps "
+             "readable",
     )
     args = parser.parse_args(argv)
     # the flags given, as changes to the run options; installed only

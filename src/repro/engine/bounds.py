@@ -52,13 +52,6 @@ decision, and the compute term only on the kernel variant, so each is
 computed once per distinct value and broadcast over the space's
 decision product.
 :func:`strategy_bound` is the same arithmetic for one strategy.
-
-The same pre-IR decode also yields :func:`definitely_infeasible`: a
-*conservative* floor on the per-CPE SPM footprint (perfect 8x8 split,
-no padding, no alignment).  When even that floor overflows the 64 KB
-pad, lowering is guaranteed to raise ``IllegalCandidateError`` at the
-plan-spm stage -- so the strategy can be counted as pruned without
-building its loop nest at all.
 """
 
 from __future__ import annotations
@@ -85,6 +78,7 @@ from ..primitives.microkernel import (
 from ..scheduler.lower import (
     LoweringOptions,
     kernel_variant,
+    legal,
     loop_order,
     tile_decision,
 )
@@ -509,43 +503,6 @@ def definitely_infeasible(
     config: Optional[MachineConfig] = None,
     options: Optional[LoweringOptions] = None,
 ) -> bool:
-    """True when lowering is *guaranteed* to prune this strategy.
-
-    The check is a strict under-estimate of the SPM plan: each GEMM
-    operand tile split perfectly 8x8 (``elems/64`` per CPE, no
-    boundary rounding), no vector padding, no alignment gaps, with the
-    double-buffer reservation the lowering applies to the streamed
-    operands.  If even this floor exceeds the scratch-pad capacity the
-    plan-spm stage must overflow too, so skipping the strategy cannot
-    change the legal candidate set.  ``False`` never implies legality.
-    """
-    cfg = config or default_config()
-    opts = options or LoweringOptions()
-    gemm = compute.gemm
-    if gemm is None:
-        return False
-    decoded = _decode(compute, strategy)
-    if decoded is None:
-        return False
-    tiles, _ = decoded
-
-    floor_bytes = 0.0
-    for tensor in (gemm.a, gemm.b, gemm.c):
-        spec = compute.tensors.get(tensor)
-        if spec is None:
-            return False
-        elems = 1
-        for dim in spec.dims:
-            if isinstance(dim, ShiftedDim):
-                elems *= tiles[dim.spatial]
-            else:
-                elems *= tiles[dim]
-        per_cpe = (
-            elems
-            * cfg.dtype_bytes
-            / (cfg.cluster_rows * cfg.cluster_cols)
-        )
-        if opts.double_buffer and tensor != gemm.c:
-            per_cpe *= 2
-        floor_bytes += per_cpe
-    return floor_bytes > cfg.spm_bytes
+    """True when lowering prunes this strategy: ``not legal(...)``."""
+    # kept under this name only for the perfbench ledger's "bounds" hook
+    return not legal(compute, strategy, options=options, config=config)

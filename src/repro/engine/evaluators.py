@@ -290,7 +290,10 @@ class MemoizingEvaluator(Evaluator):
     Lookup is tiered: the in-process ``store`` first, then the optional
     persistent ``disk`` store (:class:`~repro.engine.evalcache
     .PersistentEvalStore`); disk hits are promoted into the in-process
-    store so they pay the digest cost once.
+    store so they pay the digest cost once.  An in-process hit is
+    written through to the disk store (unchanged entries cost one
+    digest), so a store installed after the memo warmed still banks
+    every score it answers.
     """
 
     def __init__(
@@ -329,10 +332,13 @@ class MemoizingEvaluator(Evaluator):
     def lookup(self, candidate: Candidate) -> Optional[Evaluation]:
         key = self.key(candidate)
         hit = self.store.get(key)
+        disk = self.disk
         if hit is not None:
             self.hits += 1
+            if disk is not None:
+                # a store installed after the memo warmed must bank it too
+                disk.put(key, hit)
             return replace(hit, memoized=True)
-        disk = self.disk
         if disk is not None:
             found = disk.get(key, config=getattr(self.inner, "config", None))
             if found is not None:

@@ -77,9 +77,9 @@ class EngineMetrics:
     ``ukernel_memo_hits`` counts micro-kernel cycle lookups answered
     from the micro-kernel table.  ``bound_pruned`` counts strategies
     skipped because their bound exceeded the incumbent, ``spm_pruned``
-    those skipped by the SPM-infeasibility prefilter (a subset of
-    ``EnumerationStats.pruned``).  ``passes`` breaks lowering +
-    optimization down per named IR pass.
+    the strategies the plan-spm stage rejected for SPM overflow (exact,
+    and a subset of ``EnumerationStats.pruned``).  ``passes`` breaks
+    lowering + optimization down per named IR pass.
 
     The resilience counters account for the supervised evaluation
     path: ``retries`` counts re-evaluated candidates, and

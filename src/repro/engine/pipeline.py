@@ -6,8 +6,8 @@ operator runners, the runtime library's cached-replay path) routes
 through it.
 
 Both halves run on :class:`~repro.passes.manager.PassManager`
-instances -- the lowering stages (decode-strategy / build-loop-nest /
-plan-spm) and the optimizer stages (infer-dma / hoist-dma / prefetch /
+instances -- the lowering stages (decode-strategy / plan-spm /
+build-loop-nest) and the optimizer stages (infer-dma / hoist-dma / prefetch /
 analyze-boundary) -- so every consumer inherits per-pass timing and the
 structural verifier, which checks each manager run's final kernel once
 (two checks per lowered candidate) and re-checks the intermediate IR
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..dsl.compute import ComputeDef
 from ..dsl.schedule import ScheduleSpace, ScheduleStrategy
-from ..errors import IllegalCandidateError, TuningError
+from ..errors import IllegalCandidateError, SpmCapacityError, TuningError
 from ..machine.config import MachineConfig, default_config
 from ..passes.base import SPM_PLANNED, PassContext
 from ..passes.lowering import lowering_passes
@@ -37,7 +37,7 @@ from ..passes.optimize import optimize_passes
 from ..primitives.registry import PrimitiveRegistry
 from ..scheduler.enumerate import Candidate, EnumerationStats
 from ..scheduler.lower import LoweringOptions
-from .bounds import definitely_infeasible, space_bounds
+from .bounds import space_bounds
 from .metrics import EngineMetrics
 
 
@@ -185,26 +185,19 @@ class CandidatePipeline:
         self.metrics.enumeration.add(time.perf_counter() - t0, count=0)
         return strategy
 
-    def realize(
-        self, strategy: ScheduleStrategy, *, prefilter: bool = False
-    ) -> Optional[Candidate]:
+    def realize(self, strategy: ScheduleStrategy) -> Optional[Candidate]:
         """Lower + optimize one declared strategy; ``None`` if illegal.
 
-        With ``prefilter`` the conservative SPM floor check runs first:
-        a strategy it rejects is *guaranteed* to fail SPM planning, so
-        the loop nest is never built (counted into ``stats.pruned`` and
-        ``metrics.spm_pruned``; the legal candidate set is unchanged).
+        An illegal strategy is rejected by the pre-IR lowering stages,
+        so it never builds a loop nest; one rejected by plan-spm also
+        counts into ``metrics.spm_pruned``.
         """
-        if prefilter and definitely_infeasible(
-            self.compute, strategy, self.config, self.options
-        ):
-            self.stats.pruned += 1
-            self.metrics.spm_pruned += 1
-            return None
         try:
             kernel = self._lower(strategy)
-        except IllegalCandidateError:
+        except IllegalCandidateError as exc:
             self.stats.pruned += 1
+            if isinstance(exc.__cause__, SpmCapacityError):
+                self.metrics.spm_pruned += 1
             return None
         self.stats.legal += 1
         return self.optimize(Candidate(strategy, kernel, self.compute))

@@ -161,9 +161,7 @@ def search_candidates(
         spm_before = metrics.spm_pruned
         realized: List[Tuple[int, Candidate]] = []
         for idx in take:
-            candidate = pipeline.realize(
-                pipeline.strategy_at(idx), prefilter=True
-            )
+            candidate = pipeline.realize(pipeline.strategy_at(idx))
             if candidate is not None:
                 realized.append((idx, candidate))
         metrics.record_prune_batch(

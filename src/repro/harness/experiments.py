@@ -15,15 +15,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..autotuner import tune_blackbox, tune_with_model
-from ..engine.bounds import definitely_infeasible
 from ..engine.metrics import EngineMetrics
-from ..errors import IllegalCandidateError, WorkloadError
+from ..errors import WorkloadError
 from ..machine.config import MachineConfig, default_config
 from ..ops import conv_implicit
 from ..ops.conv_common import ConvParams
 from ..ops.gemm import make_compute as gemm_compute
 from ..ops.gemm import make_space as gemm_space
-from ..scheduler.lower import LoweringOptions, lower_strategy
+from ..scheduler.lower import LoweringOptions, legal
 from ..workloads import (
     conv_layers,
     listing1_configs,
@@ -454,20 +453,10 @@ def legal_strategies(
     compute, space, config: Optional[MachineConfig] = None
 ) -> int:
     """How many strategies of ``space`` lower to a legal kernel: the
-    work real brute force does.  Runs only the SPM floor and the
-    lowering passes, so the count does not depend on how a search
+    work real brute force does.  Decided by :func:`legal` without
+    building any IR, so the count does not depend on how a search
     prunes."""
-    cfg = config or default_config()
-    legal = 0
-    for strategy in space.strategies():
-        if definitely_infeasible(compute, strategy, cfg):
-            continue
-        try:
-            lower_strategy(compute, strategy, config=cfg)
-        except IllegalCandidateError:
-            continue
-        legal += 1
-    return legal
+    return sum(legal(compute, s, config=config) for s in space.strategies())
 
 
 def tab3_tuning_time(

@@ -19,7 +19,7 @@ from .dma_inference import (
     infer_dma,
     storage_shapes,
 )
-from .memplan import per_cpe_bytes, plan_spm, spm_utilization
+from .memplan import per_cpe_bytes, plan_allocs, plan_spm, spm_utilization
 from .prefetch import (
     apply_prefetch,
     direct_stream_dmas,
@@ -38,6 +38,7 @@ __all__ = [
     "pipelined_loops",
     "direct_stream_dmas",
     "next_iteration_env",
+    "plan_allocs",
     "plan_spm",
     "per_cpe_bytes",
     "spm_utilization",

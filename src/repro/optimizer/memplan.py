@@ -10,9 +10,8 @@ rejecting kernels that overflow the 64 KB scratch pad.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
-from ..errors import SpmCapacityError
 from ..ir.nodes import AllocSpmNode, KernelNode
 from ..machine.config import MachineConfig, default_config
 from ..machine.spm import SpmAllocator, SpmBuffer, SpmPlan
@@ -39,12 +38,14 @@ def per_cpe_bytes(alloc: AllocSpmNode, config: Optional[MachineConfig] = None) -
     )
 
 
-def plan_spm(kernel: KernelNode, config: Optional[MachineConfig] = None) -> SpmPlan:
-    """Build the coalesced SPM plan for a kernel.
+def plan_allocs(
+    allocs: Sequence[AllocSpmNode], config: Optional[MachineConfig] = None
+) -> SpmPlan:
+    """Build the coalesced SPM plan for a list of allocations.
 
-    Raises :class:`SpmCapacityError` on overflow (the scheduler should
-    have pruned such candidates; reaching here means an optimizer pass
-    grew the footprint illegally).
+    Raises :class:`SpmCapacityError` on overflow.  The one plan every
+    consumer shares: the plan-spm lowering stage runs it on the allocs
+    computed before any IR exists, :func:`plan_spm` on a kernel's.
     """
     cfg = config or default_config()
     buffers = [
@@ -53,9 +54,19 @@ def plan_spm(kernel: KernelNode, config: Optional[MachineConfig] = None) -> SpmP
             bytes_per_cpe=per_cpe_bytes(a, cfg),
             double_buffered=a.double_buffered,
         )
-        for a in kernel.allocs
+        for a in allocs
     ]
     return SpmAllocator(cfg).plan(buffers)
+
+
+def plan_spm(kernel: KernelNode, config: Optional[MachineConfig] = None) -> SpmPlan:
+    """Build the coalesced SPM plan for a kernel.
+
+    Raises :class:`SpmCapacityError` on overflow (the scheduler should
+    have pruned such candidates; reaching here means an optimizer pass
+    grew the footprint illegally).
+    """
+    return plan_allocs(kernel.allocs, config)
 
 
 def spm_utilization(kernel: KernelNode, config: Optional[MachineConfig] = None) -> float:

@@ -1,24 +1,29 @@
 """Lowering as composable pipeline stages.
 
-The 579-line ``scheduler/lower.py`` monolith is split into three named
-stages registered on the :class:`~repro.passes.manager.PassManager`:
+Three named stages registered on the
+:class:`~repro.passes.manager.PassManager`, in this order:
 
 * ``decode-strategy`` -- validate the seed, decode the strategy's tile
   factors / loop order / layouts / kernel variant, and run every
   strategy-level legality check (loop-order, kernel-axis, primitive
   legality).  Runs before any IR exists; results land in ``ctx.state``.
-* ``build-loop-nest`` -- the recursive builder: split every axis, nest
-  the loops, peel boundary regions, emit raw DMA + gemm_op leaves, and
-  size the SPM allocations.  Produces the root ``KernelNode``.
-* ``plan-spm`` -- the coalesced memory plan of Sec. 4.7 over the
-  allocs; an over-capacity plan raises
+* ``plan-spm`` -- derive every leaf's geometry and the SPM allocs from
+  the decoded strategy (:func:`~repro.scheduler.lower.leaf_table`, no
+  IR built) and run the coalesced memory plan of Sec. 4.7 over them;
+  an over-capacity plan raises
   :class:`~repro.errors.IllegalCandidateError` so the enumerator prunes
-  the candidate exactly as before.  Establishes the ``spm-plan``
-  invariant the verifier enforces from here on.
+  the candidate.  Establishes the ``spm-plan`` invariant the verifier
+  enforces from here on.
+* ``build-loop-nest`` -- the recursive builder: split every axis, nest
+  the loops, peel boundary regions, emit raw DMA + gemm_op leaves from
+  the leaf table.  Produces the root ``KernelNode``.
 
-The stages call the same helpers (and in the same order) as the frozen
+Both pre-IR stages together are :func:`~repro.scheduler.lower.legal`,
+the exact legality check; only a legal strategy builds a loop nest.
+The stages call the same helpers as the frozen
 :func:`~repro.scheduler.lower.reference_lower_strategy`, so the lowered
-IR is bit-identical -- the golden tests assert it.
+IR is bit-identical -- the golden tests assert it.  ``--dump-ir`` has
+no IR to print around the two pre-IR stages.
 """
 
 from __future__ import annotations
@@ -28,9 +33,7 @@ from typing import List, Optional
 
 from ..errors import IllegalCandidateError, LoweringError, SpmCapacityError
 from ..ir.nodes import KernelNode
-from ..machine.spm import SpmAllocator, SpmBuffer
-from ..optimizer.memplan import per_cpe_bytes
-from ..primitives.microkernel import KernelVariant
+from ..optimizer.memplan import plan_allocs
 from ..primitives.registry import default_registry
 from ..scheduler.lower import (
     LoweringOptions,
@@ -40,6 +43,7 @@ from ..scheduler.lower import (
     _tensor_layouts,
     _tile_sizes,
     kernel_variant,
+    leaf_table,
     loop_order,
 )
 from .base import SPM_PLANNED, Pass, PassContext
@@ -87,68 +91,63 @@ class DecodeStrategyPass(Pass):
         return None
 
 
-class BuildLoopNestPass(Pass):
-    """Decoded strategy -> raw kernel IR (loops, DMA leaves, allocs)."""
-
-    name = "build-loop-nest"
-
-    def run(self, ctx: PassContext, kernel: Optional[KernelNode]):
-        if "tiles" not in ctx.state:
-            raise LoweringError(
-                "build-loop-nest needs decode-strategy to run first"
-            )
-        compute = ctx.compute
-        opts = ctx.options or LoweringOptions()
-        variant: KernelVariant = ctx.state["variant"]
-        builder = _KernelBuilder(
-            compute=compute,
-            tiles=ctx.state["tiles"],
-            order=ctx.state["order"],
-            layouts=ctx.state["layouts"],
-            variant=variant,
-            options=opts,
-            config=ctx.config,
-        )
-        body = builder.build()
-        allocs = builder.make_allocs()
-        return KernelNode(
-            name=f"{compute.name}__{variant.name}",
-            allocs=allocs,
-            body=body,
-            tensor_layouts=ctx.state["layouts"],
-        )
-
-
 class PlanSpmPass(Pass):
-    """Coalesced SPM planning (Sec. 4.7) as a pipeline stage.
+    """Leaf table + coalesced SPM planning (Sec. 4.7), before any IR.
 
     Overflow raises :class:`IllegalCandidateError` -- the candidate is
-    prunable, not broken.  The resulting plan is recorded in
-    ``ctx.state['spm_plan']`` and the ``spm-plan`` invariant becomes
-    active for the verifier.
+    prunable, not broken.  The leaves, allocs and plan are recorded in
+    ``ctx.state`` and the ``spm-plan`` invariant becomes active for the
+    verifier.
     """
 
     name = "plan-spm"
     establishes = (SPM_PLANNED,)
 
     def run(self, ctx: PassContext, kernel: Optional[KernelNode]):
-        if kernel is None:
-            raise LoweringError("plan-spm needs a lowered kernel")
-        buffers = [
-            SpmBuffer(
-                alloc.name,
-                per_cpe_bytes(alloc, ctx.config),
-                double_buffered=alloc.double_buffered,
-            )
-            for alloc in kernel.allocs
-        ]
+        if "tiles" not in ctx.state:
+            raise LoweringError("plan-spm needs decode-strategy to run first")
+        leaves, allocs = leaf_table(
+            ctx.compute,
+            ctx.state["tiles"],
+            ctx.state["layouts"],
+            ctx.state["variant"],
+            ctx.options or LoweringOptions(),
+            ctx.config,
+        )
         try:
-            ctx.state["spm_plan"] = SpmAllocator(ctx.config).plan(buffers)
+            ctx.state["spm_plan"] = plan_allocs(allocs, ctx.config)
         except SpmCapacityError as exc:  # candidate pruned
             raise IllegalCandidateError(str(exc)) from exc
+        ctx.state["leaves"], ctx.state["allocs"] = leaves, allocs
         return None
+
+
+class BuildLoopNestPass(Pass):
+    """Decoded strategy + leaf table -> raw kernel IR."""
+
+    name = "build-loop-nest"
+
+    def run(self, ctx: PassContext, kernel: Optional[KernelNode]):
+        if "leaves" not in ctx.state:
+            raise LoweringError("build-loop-nest needs plan-spm to run first")
+        compute = ctx.compute
+        variant = ctx.state["variant"]
+        body = _KernelBuilder(
+            compute=compute,
+            tiles=ctx.state["tiles"],
+            order=ctx.state["order"],
+            layouts=ctx.state["layouts"],
+            variant=variant,
+            leaves=ctx.state["leaves"],
+        ).build()
+        return KernelNode(
+            name=f"{compute.name}__{variant.name}",
+            allocs=ctx.state["allocs"],
+            body=body,
+            tensor_layouts=ctx.state["layouts"],
+        )
 
 
 def lowering_passes() -> List[Pass]:
     """The default lowering pipeline (strategy -> raw verified IR)."""
-    return [DecodeStrategyPass(), BuildLoopNestPass(), PlanSpmPass()]
+    return [DecodeStrategyPass(), PlanSpmPass(), BuildLoopNestPass()]

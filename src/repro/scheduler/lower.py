@@ -19,7 +19,10 @@ This is the scheduler's core (Sec. 4.3 + Fig. 4 middle): a concrete
   smaller tail parameters or applies lightweight zero-padding when the
   tail is below the vector width (Sec. 4.5.3);
 * SPM capacity is checked against the 64 KB budget (with double
-  buffering accounted for), pruning infeasible candidates.
+  buffering accounted for), pruning infeasible candidates.  The check
+  needs no IR: :func:`leaf_table` derives every leaf's geometry, and
+  the allocs covering them, from the decoded strategy alone, so
+  :func:`legal` decides legality before any loop nest is built.
 
 The produced IR is *raw*: DMA nodes carry tile accesses but no per-CPE
 geometry, and nothing is hoisted or double-buffered yet -- those are IR
@@ -28,13 +31,14 @@ optimizer passes (:mod:`repro.optimizer`).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dsl.compute import REDUCTION, ComputeDef, ShiftedDim
 from ..dsl.schedule import ScheduleStrategy
-from ..errors import IllegalCandidateError, LoweringError
+from ..errors import IllegalCandidateError, LoweringError, SpmCapacityError
 from ..ir.expr import AffineExpr
 from ..ir.nodes import (
     AllocSpmNode,
@@ -49,7 +53,7 @@ from ..ir.nodes import (
 )
 from ..machine.config import MachineConfig, default_config
 from ..machine.dma import MEM_TO_SPM, SPM_TO_MEM
-from ..machine.spm import SpmAllocator, SpmBuffer
+from ..optimizer.memplan import plan_allocs
 from ..primitives.microkernel import COL_MAJOR, ROW_MAJOR, KernelVariant
 from ..primitives.registry import PrimitiveRegistry, default_registry
 
@@ -83,7 +87,7 @@ def lower_strategy(
     """Apply one schedule strategy to the seed and emit kernel IR.
 
     Thin wrapper over the verified pass pipeline: runs the
-    decode-strategy / build-loop-nest / plan-spm stages on a
+    decode-strategy / plan-spm / build-loop-nest stages on a
     :class:`~repro.passes.manager.PassManager`, which verifies the
     resulting IR.  Raises :class:`IllegalCandidateError` for strategies
     the scheduler must prune (bad loop order, SPM overflow, no legal
@@ -91,18 +95,52 @@ def lower_strategy(
     the seed itself.
     """
     # lazy import: repro.passes.lowering imports this module's helpers
-    from ..passes.base import PassContext
     from ..passes.lowering import lowering_passes
     from ..passes.manager import PassManager
 
-    ctx = PassContext(
-        compute=compute,
-        config=config or default_config(),
-        strategy=strategy,
-        options=options,
-        registry=registry,
-    )
+    ctx = _context(compute, strategy, options, config, registry)
     return PassManager(lowering_passes()).run(ctx)
+
+
+def legal(
+    compute: ComputeDef,
+    strategy: ScheduleStrategy,
+    *,
+    options: Optional[LoweringOptions] = None,
+    config: Optional[MachineConfig] = None,
+    registry: Optional[PrimitiveRegistry] = None,
+) -> bool:
+    """Whether :func:`lower_strategy` accepts the strategy, decided
+    without building IR: runs the lowering stages before
+    build-loop-nest (decode-strategy, plan-spm) and nothing else, so the
+    two cannot drift.  Structural seed problems still raise
+    :class:`LoweringError`."""
+    from ..passes.lowering import lowering_passes
+
+    ctx = _context(compute, strategy, options, config, registry)
+    try:
+        for stage in lowering_passes()[:-1]:  # all but build-loop-nest
+            stage.run(ctx, None)
+    except IllegalCandidateError:
+        return False
+    return True
+
+
+def _context(
+    compute: ComputeDef,
+    strategy: ScheduleStrategy,
+    options: Optional[LoweringOptions],
+    config: Optional[MachineConfig],
+    registry: Optional[PrimitiveRegistry],
+):
+    """The pass context both :func:`lower_strategy` and :func:`legal`
+    run their stages in."""
+    from ..passes.base import PassContext
+
+    return PassContext(
+        compute=compute, config=config or default_config(),
+        strategy=strategy, options=options, registry=registry,
+    )
 
 
 def reference_lower_strategy(
@@ -113,12 +151,13 @@ def reference_lower_strategy(
     config: Optional[MachineConfig] = None,
     registry: Optional[PrimitiveRegistry] = None,
 ) -> KernelNode:
-    """The frozen pre-pipeline monolithic lowering.
+    """The pre-pipeline monolithic lowering.
 
-    Kept verbatim as the oracle for the golden tests: the staged
-    pipeline behind :func:`lower_strategy` must produce bit-identical
-    IR to this function for any strategy.  Not used by any runtime
-    consumer.
+    Kept as the oracle for the golden tests: the staged pipeline behind
+    :func:`lower_strategy` must produce bit-identical IR to this
+    function for any strategy.  It shares the leaf table and the
+    builder with the stages, so what it checks is their composition.
+    Not used by any runtime consumer.
     """
     compute.validate()
     opts = options or LoweringOptions()
@@ -132,11 +171,7 @@ def reference_lower_strategy(
     _check_order_legality(compute, order)
     _check_kernel_axes(compute, tiles)
 
-    vec_dim = str(strategy.get("vec_dim", "M"))
-    a_layout = str(strategy.get("spm_layout:a", COL_MAJOR))
-    b_layout = str(strategy.get("spm_layout:b", COL_MAJOR))
-    variant = KernelVariant(a_layout, b_layout, vec_dim)
-
+    variant = kernel_variant(strategy)
     layouts = _tensor_layouts(compute, strategy)
 
     # --- tile geometry ----------------------------------------------------
@@ -145,20 +180,20 @@ def reference_lower_strategy(
     k_tile = tiles[gemm.k_axis]
     reg.check_legal(m_tile, n_tile, k_tile, variant)
 
-    builder = _KernelBuilder(
+    leaves, allocs = leaf_table(compute, tiles, layouts, variant, opts, cfg)
+    try:
+        plan_allocs(allocs, cfg)
+    except SpmCapacityError as exc:  # candidate pruned
+        raise IllegalCandidateError(str(exc)) from exc
+
+    body = _KernelBuilder(
         compute=compute,
         tiles=tiles,
         order=order,
         layouts=layouts,
         variant=variant,
-        options=opts,
-        config=cfg,
-    )
-    body = builder.build()
-
-    allocs = builder.make_allocs()
-    _check_spm(allocs, cfg, opts)
-
+        leaves=leaves,
+    ).build()
     return KernelNode(
         name=f"{compute.name}__{variant.name}",
         allocs=allocs,
@@ -263,23 +298,183 @@ def _padded(extent: int, lanes: int, opts: LoweringOptions) -> int:
     return max(opts.min_vec_extent, -(-extent // lanes) * lanes)
 
 
-def _check_spm(
-    allocs: List[AllocSpmNode], cfg: MachineConfig, opts: LoweringOptions
-) -> None:
-    from ..optimizer.memplan import per_cpe_bytes
+# ---------------------------------------------------------------------------
+# leaf geometry, before any IR
+# ---------------------------------------------------------------------------
+#: how a tile (in storage order) reshapes into a GEMM matrix:
+#: ``(row_dims, col_dims)``, positions in the storage-order tile
+MatMap = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
-    buffers = [
-        SpmBuffer(
-            alloc.name,
-            per_cpe_bytes(alloc, cfg),
-            double_buffered=alloc.double_buffered,
-        )
-        for alloc in allocs
+
+@dataclass(frozen=True)
+class Leaf:
+    """One leaf shape of the loop nest: the GEMM operand maps, the
+    operand views' storage-order lengths (padded at a boundary), the
+    GEMM extents the primitive runs at, and whether padding applies."""
+
+    a_map: MatMap
+    b_map: MatMap
+    c_map: MatMap
+    a_lens: Tuple[int, ...]
+    b_lens: Tuple[int, ...]
+    c_lens: Tuple[int, ...]
+    gm: int
+    gn: int
+    padded: bool
+
+
+def leaf_table(
+    compute: ComputeDef,
+    tiles: Dict[str, int],
+    layouts: Dict[str, Tuple[int, ...]],
+    variant: KernelVariant,
+    options: LoweringOptions,
+    config: MachineConfig,
+) -> Tuple[Dict[Tuple[int, ...], Leaf], List[AllocSpmNode]]:
+    """The leaf geometry of a decoded strategy, with no IR built: every
+    leaf shape keyed by its per-axis lengths (tile or tail, in
+    ``compute.axes`` order), and the SPM allocs that cover them.
+
+    The loop nest splits every axis into full tiles plus at most one
+    peeled tail, so its leaves are exactly the product of each axis'
+    (tile, tail) lengths.  Each alloc is the per-dimension maximum of
+    its operand's (padded) lengths over all leaves; a leaf's DMA tile
+    is never longer than its padded operand view.  The streamed A/B
+    operands reserve double-buffer space when the prefetch pass is
+    expected to run.
+    """
+    gemm = compute.gemm
+    assert gemm is not None
+    operands = (gemm.a, gemm.b, gemm.c)
+    (a_map, _), (b_map, _), (c_map, _) = maps = [
+        _mat_map(compute, layouts, tensor, role=role)
+        for role, tensor in zip("abc", operands)
     ]
-    try:
-        SpmAllocator(cfg).plan(buffers)
-    except Exception as exc:  # SpmCapacityError -> candidate pruned
-        raise IllegalCandidateError(str(exc)) from exc
+    names = tuple(compute.axes)
+    lengths = []
+    for name in names:
+        tile = tiles[name]
+        tail = compute.axes[name].extent % tile
+        lengths.append((tile, tail) if tail else (tile,))
+
+    leaves: Dict[Tuple[int, ...], Leaf] = {}
+    for key in itertools.product(*lengths):
+        lens = dict(zip(names, key))
+        a_lens, b_lens, c_lens = (
+            _storage_lens(compute, layouts, tensor, lens, outside)
+            for tensor, (_, outside) in zip(operands, maps)
+        )
+        # boundary processing: switch parameters, or lightweight-pad the
+        # vectorized dim up to a whole vector (Sec. 4.5.3).  Padding is
+        # applied to the operand *views*: the buffers are allocated at
+        # the padded shape, DMA fills the real region, and the pad is
+        # zeroed so the extra lanes contribute nothing.
+        gm = m = lens[gemm.m_axis]
+        gn = n = math.prod(lens[ax] for ax in gemm.n_axes)
+        if variant.vec_dim == "M":
+            gm = _padded(m, config.vector_lanes, options)
+            if gm != m:
+                a_lens = _inflate_m(a_lens, a_map, gm)
+                c_lens = _inflate_m(c_lens, c_map, gm)
+        else:
+            gn_target = _padded(n, config.vector_lanes, options)
+            if gn_target != n:
+                b_lens = _inflate_last_col(b_lens, b_map, gn_target)
+                c_lens = _inflate_last_col(c_lens, c_map, gn_target)
+                gn = math.prod(b_lens[i] for i in b_map[1])
+        leaves[key] = Leaf(
+            a_map, b_map, c_map, a_lens, b_lens, c_lens, gm, gn,
+            padded=(gm, gn) != (m, n),
+        )
+
+    c_layout = COL_MAJOR if variant.vec_dim == "M" else ROW_MAJOR
+    allocs = [
+        AllocSpmNode(
+            name=spm_name,
+            shape=tuple(
+                max(dim)
+                for dim in zip(*(getattr(leaf, attr) for leaf in leaves.values()))
+            ),
+            matrix_layout=layout,
+            double_buffered=options.double_buffer and spm_name != "spm_c",
+        )
+        for spm_name, attr, layout in (
+            ("spm_a", "a_lens", variant.a_layout),
+            ("spm_b", "b_lens", variant.b_layout),
+            ("spm_c", "c_lens", c_layout),
+        )
+    ]
+    return leaves, allocs
+
+
+def _storage_lens(
+    compute: ComputeDef,
+    layouts: Dict[str, Tuple[int, ...]],
+    tensor: str,
+    lens: Dict[str, int],
+    outside: Tuple[int, ...] = (),
+) -> Tuple[int, ...]:
+    """A tensor's tile lengths in storage order (a shifted dim spans its
+    spatial tile plus the kernel window minus one); the dims
+    ``outside`` the GEMM mapping must be singletons."""
+    spec = compute.tensors[tensor]
+    out = []
+    for i in layouts[tensor]:
+        dim = spec.dims[i]
+        if isinstance(dim, ShiftedDim):
+            out.append(lens[dim.spatial] + lens[dim.kernel] - 1)
+        else:
+            out.append(lens[dim])
+    for i in outside:
+        if out[i] != 1:
+            axis = axis_of_dim(spec.dims[layouts[tensor][i]])
+            raise LoweringError(
+                f"tensor {tensor!r} dim {i} (axis {axis!r}) "
+                f"is outside the GEMM mapping but has tile length {out[i]}"
+            )
+    return tuple(out)
+
+
+def _mat_map(
+    compute: ComputeDef,
+    layouts: Dict[str, Tuple[int, ...]],
+    tensor: str,
+    *,
+    role: str,
+) -> Tuple[MatMap, Tuple[int, ...]]:
+    """How a tile (in storage order) reshapes into the GEMM matrix.
+
+    Returns ``((row_dims, col_dims), outside)`` with dims referring to
+    positions in the *storage-order* tile; N-side columns are listed in
+    the seed's ``n_axes`` fusion order so B and C flatten identically.
+    The ``outside`` dims belong to no GEMM axis; they close the column
+    list, where a singleton flattens harmlessly.
+    """
+    gemm = compute.gemm
+    assert gemm is not None
+    spec = compute.tensors[tensor]
+    axes_in_storage = [axis_of_dim(spec.dims[i]) for i in layouts[tensor]]
+
+    if role == "a":
+        row_axis, col_spec = gemm.m_axis, (gemm.k_axis,)
+    elif role == "b":
+        row_axis, col_spec = gemm.k_axis, gemm.n_axes
+    else:
+        row_axis, col_spec = gemm.m_axis, gemm.n_axes
+
+    rows = tuple(
+        i for i, ax in enumerate(axes_in_storage) if ax == row_axis
+    )
+    if not rows:
+        raise LoweringError(
+            f"tensor {tensor!r} has no dimension for GEMM role {role!r}"
+        )
+    cols: List[int] = []
+    for ax in col_spec:
+        cols.extend(i for i, a in enumerate(axes_in_storage) if a == ax)
+    used = set(rows) | set(cols)
+    outside = tuple(i for i in range(len(axes_in_storage)) if i not in used)
+    return (rows, tuple(cols) + outside), outside
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +487,10 @@ class _KernelBuilder:
     order: Tuple[str, ...]
     layouts: Dict[str, Tuple[int, ...]]
     variant: KernelVariant
-    options: LoweringOptions
-    config: MachineConfig
-
-    #: per-tensor maximum tile lengths seen (storage order), for allocs
-    _max_lens: Dict[str, List[int]] = field(default_factory=dict)
+    #: the strategy's leaves, from :func:`leaf_table`
+    leaves: Dict[Tuple[int, ...], Leaf]
 
     def build(self) -> Node:
-        gemm = self.compute.gemm
-        assert gemm is not None
         # position in the order where reduction loops begin
         self._red_level = len(self.order)
         for i, ax in enumerate(self.order):
@@ -390,68 +580,32 @@ class _KernelBuilder:
     def _leaf(self, offsets: Dict[str, AffineExpr], lens: Dict[str, int]) -> Node:
         gemm = self.compute.gemm
         assert gemm is not None
-        lanes = self.config.vector_lanes
-
-        m = lens[gemm.m_axis]
-        n = math.prod(lens[ax] for ax in gemm.n_axes)
-        k = lens[gemm.k_axis]
-
-        a_access = self._tile_access(gemm.a, offsets, lens)
-        b_access = self._tile_access(gemm.b, offsets, lens)
-
-        a_map, a_lens = self._mat_map(gemm.a, lens, role="a")
-        b_map, b_lens = self._mat_map(gemm.b, lens, role="b")
-        c_map, c_lens = self._mat_map(gemm.c, lens, role="c")
-
-        # boundary processing: switch parameters, or lightweight-pad the
-        # vectorized dim up to a whole vector (Sec. 4.5.3).  Padding is
-        # applied to the operand *views*: the buffers are allocated at
-        # the padded shape, DMA fills the real region, and the pad is
-        # zeroed so the extra lanes contribute nothing.
-        gm, gn = m, n
-        padded = False
-        if self.variant.vec_dim == "M":
-            gm = _padded(m, lanes, self.options)
-            if gm != m:
-                padded = True
-                a_lens = _inflate_m(a_lens, a_map, gm)
-                c_lens = _inflate_m(c_lens, c_map, gm)
-        else:
-            gn_target = _padded(n, lanes, self.options)
-            if gn_target != n:
-                padded = True
-                b_lens = _inflate_last_col(b_lens, b_map, gn_target)
-                c_lens = _inflate_last_col(c_lens, c_map, gn_target)
-                gn = math.prod(b_lens[i] for i in b_map[1])
-
-        # allocs must cover the padded views
-        self._note_lens(gemm.a, list(a_lens))
-        self._note_lens(gemm.b, list(b_lens))
-        self._note_lens(gemm.c, list(c_lens))
+        leaf = self.leaves[tuple(lens[ax] for ax in self.compute.axes)]
 
         body: List[Node] = []
-        if padded:
+        if leaf.padded:
             # stale data in the pad region would corrupt the product
             pad_buf = "spm_a" if self.variant.vec_dim == "M" else "spm_b"
             body.append(ZeroSpmNode(pad_buf))
-        body.append(DmaCgNode(access=a_access, spm="spm_a", direction=MEM_TO_SPM))
-        body.append(DmaCgNode(access=b_access, spm="spm_b", direction=MEM_TO_SPM))
+        for tensor, spm in ((gemm.a, "spm_a"), (gemm.b, "spm_b")):
+            access = self._tile_access(tensor, offsets, lens)
+            body.append(DmaCgNode(access=access, spm=spm, direction=MEM_TO_SPM))
         body.append(
             GemmOpNode(
-                m=gm,
-                n=gn,
-                k=k,
+                m=leaf.gm,
+                n=leaf.gn,
+                k=lens[gemm.k_axis],
                 a_spm="spm_a",
                 b_spm="spm_b",
                 c_spm="spm_c",
-                a_map=a_map,
-                b_map=b_map,
-                c_map=c_map,
+                a_map=leaf.a_map,
+                b_map=leaf.b_map,
+                c_map=leaf.c_map,
                 variant=self.variant,
                 accumulate=True,
-                a_lens=a_lens,
-                b_lens=b_lens,
-                c_lens=c_lens,
+                a_lens=leaf.a_lens,
+                b_lens=leaf.b_lens,
+                c_lens=leaf.c_lens,
             )
         )
         return SeqNode(body)
@@ -464,112 +618,17 @@ class _KernelBuilder:
         lens: Dict[str, int],
     ) -> TileAccess:
         spec = self.compute.tensors[tensor]
-        perm = self.layouts[tensor]
-        dims: List[Tuple[AffineExpr, int]] = []
-        logical: List[Tuple[AffineExpr, int]] = []
+        logical: List[AffineExpr] = []
         for dim in spec.dims:
             if isinstance(dim, ShiftedDim):
-                off = offsets[dim.spatial] + offsets[dim.kernel]
-                length = lens[dim.spatial] + lens[dim.kernel] - 1
+                logical.append(offsets[dim.spatial] + offsets[dim.kernel])
             else:
-                off = offsets[dim]
-                length = lens[dim]
-            logical.append((off, length))
-        for i in perm:
-            dims.append(logical[i])
-        self._note_lens(tensor, [length for _, length in dims])
-        return TileAccess(buffer=tensor, dims=tuple(dims))
-
-    def _note_lens(self, tensor: str, lens: List[int]) -> None:
-        cur = self._max_lens.setdefault(tensor, [0] * len(lens))
-        for i, length in enumerate(lens):
-            cur[i] = max(cur[i], length)
-
-    # --- gemm operand maps ----------------------------------------------------------
-    def _mat_map(
-        self, tensor: str, lens: Dict[str, int], *, role: str
-    ) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], Tuple[int, ...]]:
-        """How the tile (in storage order) reshapes into the GEMM matrix.
-
-        Returns ``((row_dims, col_dims), tile_lens)`` with dims referring
-        to positions in the *storage-order* tile; N-side columns are
-        listed in the seed's ``n_axes`` fusion order so B and C flatten
-        identically.
-        """
-        gemm = self.compute.gemm
-        assert gemm is not None
-        spec = self.compute.tensors[tensor]
-        perm = self.layouts[tensor]
-        axes_in_storage = [axis_of_dim(spec.dims[i]) for i in perm]
-        tile_lens = []
-        for i in perm:
-            dim = spec.dims[i]
-            if isinstance(dim, ShiftedDim):
-                tile_lens.append(lens[dim.spatial] + lens[dim.kernel] - 1)
-            else:
-                tile_lens.append(lens[dim])
-
-        if role == "a":
-            row_axis, col_spec = gemm.m_axis, (gemm.k_axis,)
-        elif role == "b":
-            row_axis, col_spec = gemm.k_axis, gemm.n_axes
-        else:
-            row_axis, col_spec = gemm.m_axis, gemm.n_axes
-
-        rows = tuple(
-            i for i, ax in enumerate(axes_in_storage) if ax == row_axis
+                logical.append(offsets[dim])
+        lengths = _storage_lens(self.compute, self.layouts, tensor, lens)
+        dims = tuple(
+            (logical[i], length) for i, length in zip(self.layouts[tensor], lengths)
         )
-        cols: List[int] = []
-        for ax in col_spec:
-            cols.extend(i for i, a in enumerate(axes_in_storage) if a == ax)
-        used = set(rows) | set(cols)
-        for i, length in enumerate(tile_lens):
-            if i in used:
-                continue
-            if length != 1:
-                raise LoweringError(
-                    f"tensor {tensor!r} dim {i} (axis {axes_in_storage[i]!r}) "
-                    f"is outside the GEMM mapping but has tile length {length}"
-                )
-            cols.append(i)  # singleton: flattens harmlessly
-        if not rows:
-            raise LoweringError(
-                f"tensor {tensor!r} has no dimension for GEMM role {role!r}"
-            )
-        return ((rows, tuple(cols)), tuple(tile_lens))
-
-    # --- allocations --------------------------------------------------------------
-    def make_allocs(self) -> List[AllocSpmNode]:
-        """SPM buffers sized to the largest (padded) tile each leaf
-        views; the streamed A/B operands reserve double-buffer space
-        when the prefetch pass is expected to run."""
-        gemm = self.compute.gemm
-        assert gemm is not None
-        allocs = []
-        for spm_name, tensor in (
-            ("spm_a", gemm.a),
-            ("spm_b", gemm.b),
-            ("spm_c", gemm.c),
-        ):
-            shape = tuple(self._max_lens[tensor])
-            layout = (
-                self.variant.a_layout
-                if spm_name == "spm_a"
-                else self.variant.b_layout
-                if spm_name == "spm_b"
-                else (COL_MAJOR if self.variant.vec_dim == "M" else ROW_MAJOR)
-            )
-            allocs.append(
-                AllocSpmNode(
-                    name=spm_name,
-                    shape=shape,
-                    matrix_layout=layout,
-                    double_buffered=(
-                        self.options.double_buffer and spm_name != "spm_c"
-                    ),
-                )
-            )
-        return allocs
+        return TileAccess(buffer=tensor, dims=dims)
 
 
 def _inflate_m(

@@ -4,8 +4,9 @@ The branch-and-bound search is only allowed to prune a candidate when
 its bound provably cannot beat the incumbent; these tests check the
 "provably" part directly: over whole schedule spaces the bound (scaled
 by the comparison slack ``BOUND_SAFETY``) never exceeds the predicted
-score, never exceeds the measured score, and the SPM-infeasibility
-prefilter never rejects a strategy lowering would have accepted.
+score and never exceeds the measured score.  The same whole-space
+walks check that the pre-IR legality check is exact and that the
+allocs computed before IR cover exactly what the lowered IR touches.
 """
 
 import numpy as np
@@ -23,11 +24,13 @@ from repro.engine import (
     strategy_bound,
 )
 from repro.engine.bounds import VACUOUS, _DmaTerm
+from repro.ir import DmaCgNode, GemmOpNode, walk
 from repro.machine.config import default_config
 from repro.ops import conv_explicit, conv_implicit, conv_winograd
 from repro.ops import gemm as gemm_ops
 from repro.ops.conv_common import ConvParams
 from repro.ops.strided import decompose
+from repro.scheduler import LoweringOptions, legal
 
 from ..scheduler.test_lower import gemm_cd
 
@@ -151,26 +154,67 @@ class TestBoundStructure:
         assert slow.compute_cycles > fast.compute_cycles
 
 
+def ir_alloc_shapes(kernel):
+    """Per SPM buffer, the per-dimension maximum of the lengths the IR
+    touches: every DMA access and every gemm operand view."""
+    seen = {}
+
+    def note(buffer, lens):
+        cur = seen.setdefault(buffer, tuple(lens))
+        seen[buffer] = tuple(max(a, b) for a, b in zip(cur, lens))
+
+    for node in walk(kernel):
+        if isinstance(node, DmaCgNode):
+            note(node.spm, [length for _, length in node.access.dims])
+        elif isinstance(node, GemmOpNode):
+            note(node.a_spm, node.a_lens)
+            note(node.b_spm, node.b_lens)
+            note(node.c_spm, node.c_lens)
+    return seen
+
+
+def check_legal_and_allocs(pipe, strategy):
+    """Realize one strategy; assert ``legal`` predicted the outcome and,
+    when legal, that the raw kernel's allocs equal the IR walk."""
+    cand = pipe.realize(strategy)
+    verdict = legal(
+        pipe.compute, strategy, options=pipe.options, config=pipe.config
+    )
+    assert verdict == (cand is not None), strategy.decisions
+    if cand is not None:
+        raw = pipe.lowerer.last_trace[-1].after  # build-loop-nest's output
+        assert {a.name: a.shape for a in raw.allocs} == ir_alloc_shapes(raw)
+    return cand
+
+
 class TestSpmPrefilter:
     def test_never_rejects_a_lowerable_strategy(self):
-        # a space that straddles the SPM capacity: some strategies fit,
-        # some overflow.  The prefilter may miss overflowing ones (it is
-        # a floor), but must never fire on one lowering accepts.
+        # a space that straddles the SPM capacity: ``legal`` must be
+        # exactly "lowering succeeds", with and without double
+        # buffering and on a quarter-size SPM
         cd = gemm_cd(512, 512, 512)
         sp = space_of(cd, [64, 256, 512])
-        pipe = CandidatePipeline(cd, sp)
-        fired = 0
-        for strategy in pipe.strategies():
-            infeasible = definitely_infeasible(
-                cd, strategy, pipe.config, pipe.options
+        cfg = default_config()
+        quarter = cfg.with_overrides(spm_bytes=cfg.spm_bytes // 4)
+        settings = [
+            (LoweringOptions(), cfg),
+            (LoweringOptions(double_buffer=False), cfg),
+            (LoweringOptions(), quarter),
+        ]
+        rejected = []
+        for options, config in settings:
+            pipe = CandidatePipeline(
+                cd, sp, options=options, config=config,
+                prefetch=options.double_buffer,
             )
-            candidate = pipe.realize(strategy)
-            if infeasible:
-                fired += 1
-                assert candidate is None, (
-                    f"prefilter rejected lowerable {strategy.decisions}"
-                )
-        assert fired > 0  # the space really exercises the filter
+            for strategy in pipe.strategies():
+                check_legal_and_allocs(pipe, strategy)
+            # every strategy decodes, so each rejection is an SPM overflow
+            assert pipe.metrics.spm_pruned == pipe.stats.pruned
+            assert pipe.stats.legal > 0
+            rejected.append(pipe.stats.pruned)
+        default, single, small = rejected
+        assert single < default < small  # the default space straddles
 
     def test_small_tiles_are_not_flagged(self):
         cd = gemm_cd(128, 128, 128)
@@ -319,7 +363,7 @@ class TestConvAdmissibility:
         bounds = space_bounds(cd, sp, pipe.config)
         checked = 0
         for index, strategy in enumerate(sp.strategies()):
-            cand = pipe.realize(strategy)
+            cand = check_legal_and_allocs(pipe, strategy)
             if cand is None:
                 continue
             predicted = analytic.evaluate(cand).predicted_cycles

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.autotuner import tune_with_model
 from repro.dsl import ScheduleSpace
 from repro.engine import (
     CandidatePipeline,
@@ -14,6 +15,7 @@ from repro.engine import (
     SimulatorEvaluator,
     evaluate_batch,
 )
+from repro.engine import evaluators
 from repro.engine.evalcache import EVAL_CACHE_VERSION
 from repro.options import current, use
 from repro.persist import _tree_digest, code_salt, quarantine_corrupt
@@ -208,6 +210,33 @@ class TestProcessWideDefault:
             again.evaluate(candidate)
             assert fresh.executions == 0
         assert memo.disk is current().eval_store  # resolved at lookup
+
+    def test_store_installed_after_a_warm_memo_banks_its_hits(
+        self, tmp_path, monkeypatch
+    ):
+        """Shared-memo hits are written through to a store installed
+        after the memo warmed, so a rerun from that store alone
+        simulates nothing."""
+        cd = gemm_cd(64, 64, 128)
+        sp = ScheduleSpace(cd)
+        sp.split("M", [16, 32, 64])
+        sp.split("N", [16, 32, 64])
+        sp.split("K", [32, 64, 128])
+        monkeypatch.setattr(evaluators, "_SHARED_MEMO", {})
+        with use(eval_store=None):
+            cold = tune_with_model(cd, sp, top_k=2)
+        path = tmp_path / "ev.json"
+        with use(eval_store=PersistentEvalStore(path)):
+            warm = tune_with_model(cd, sp, top_k=2)
+        assert warm.metrics.execution.count == 0
+        assert warm.metrics.memo_hits == cold.metrics.execution.count == 2
+        assert len(PersistentEvalStore(path)) == 2
+
+        monkeypatch.setattr(evaluators, "_SHARED_MEMO", {})
+        with use(eval_store=PersistentEvalStore(path)):
+            again = tune_with_model(cd, sp, top_k=2)
+        assert again.metrics.execution.count == 0
+        assert again.report.cycles == cold.report.cycles
 
     def test_explicit_none_disables_disk(self, tmp_path, candidate):
         with use(eval_store=PersistentEvalStore(tmp_path / "scores.json")):

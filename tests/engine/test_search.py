@@ -142,7 +142,7 @@ class TestAccounting:
             batch_size=4,
         )
         # every declared strategy is exactly one of: scored, illegal
-        # (incl. SPM-prefiltered), or bound-pruned.
+        # (incl. SPM overflow), or bound-pruned.
         assert pipe.stats.declared == (
             len(pairs) + pipe.stats.pruned + pipe.metrics.bound_pruned
         )

@@ -37,13 +37,15 @@ class TestInstrumentation:
         manager.run(PassContext(compute=cd, strategy=strategy))
         names = [r.name for r in manager.last_trace]
         assert names == [
-            "decode-strategy", "build-loop-nest", "plan-spm",
+            "decode-strategy", "plan-spm", "build-loop-nest",
             "infer-dma", "hoist-dma", "prefetch", "analyze-boundary",
         ]
         for r in manager.last_trace:
             assert r.seconds >= 0
-        # the builder materialises the tree out of nothing
-        build = manager.last_trace[1]
+        # legality is decided before any IR; the builder materialises
+        # the tree out of nothing
+        assert manager.last_trace[1].nodes_after == 0
+        build = manager.last_trace[2]
         assert build.nodes_before == 0 and build.nodes_after > 0
         # hoisting only ever moves or removes transfers
         hoist = manager.last_trace[4]

@@ -9,7 +9,8 @@ from repro.machine.memory import transaction_bytes
 from repro.machine.spm import partition_extent
 from repro.optimizer.boundary import pad_tensor, pad_up, unpad_tensor
 from repro.optimizer.dma_inference import flatten_access
-from repro.scheduler.transforms import fuse_extents, split_extent
+
+from ..scheduler.test_transforms import m_leaves
 
 small_ints = st.integers(min_value=1, max_value=512)
 
@@ -33,18 +34,17 @@ class TestPartitionProperties:
 
 
 class TestSplitProperties:
+    """The lowering splits an axis into full tiles plus one tail."""
+
     @given(extent=small_ints, factor=small_ints)
     def test_split_conserves_iterations(self, extent, factor):
         factor = min(factor, extent)
-        r = split_extent(extent, factor)
-        assert r.full_trips * r.factor + r.tail == extent
-        assert 0 <= r.tail < r.factor
+        lengths, _ = m_leaves(extent, factor)
+        assert lengths == sorted({factor, extent % factor} - {0})
 
     @given(outer=st.integers(1, 64), inner=st.integers(1, 64))
     def test_fuse_then_split_roundtrip(self, outer, inner):
-        fused = fuse_extents(outer, inner)
-        r = split_extent(fused, inner)
-        assert r.full_trips == outer and r.tail == 0
+        assert m_leaves(outer * inner, inner)[0] == [inner]
 
 
 class TestTransactionProperties:

@@ -1,113 +1,80 @@
-"""Tests for standalone loop transformations."""
+"""The lowering's loop transformations: split and reorder.
+
+Every axis splits into full tiles plus at most one peeled tail, so a
+strategy's leaves are the product of each axis' (tile, tail) lengths
+(:func:`~repro.scheduler.lower.leaf_table`); a loop order must permute
+the axes (:func:`~repro.scheduler.lower.loop_order`).
+"""
 
 import pytest
 
+from repro.dsl.schedule import ScheduleStrategy
 from repro.errors import ScheduleError
-from repro.ir.nodes import ForNode, GemmOpNode, SeqNode, ZeroSpmNode
-from repro.primitives.microkernel import ALL_VARIANTS
-from repro.scheduler.transforms import (
-    fuse_extents,
-    fuse_shared_input_gemms,
-    perfect_nest_depth,
-    reorder_axes,
-    split_extent,
-)
+from repro.ir import ForNode, walk
+from repro.machine.config import default_config
+from repro.primitives.microkernel import COL_MAJOR, KernelVariant
+from repro.scheduler import LoweringOptions, legal, lower_strategy
+from repro.scheduler.lower import leaf_table, loop_order
+
+from .test_lower import gemm_cd, lower_gemm
+
+
+def m_leaves(extent, factor):
+    """The M lengths of the leaves of a GEMM with M = ``extent`` split
+    by ``factor``, and its allocs."""
+    cd = gemm_cd(extent, 64, 64)
+    leaves, allocs = leaf_table(
+        cd,
+        {"M": factor, "N": 64, "K": 64},
+        {name: tuple(range(len(spec.dims))) for name, spec in cd.tensors.items()},
+        KernelVariant(COL_MAJOR, COL_MAJOR, "M"),
+        LoweringOptions(),
+        default_config(),
+    )
+    return sorted({key[0] for key in leaves}), allocs
+
+
+def trips(kernel, var):
+    return [n.extent for n in walk(kernel) if isinstance(n, ForNode) and n.var == var]
 
 
 class TestSplit:
     def test_even_split(self):
-        r = split_extent(128, 32)
-        assert (r.full_trips, r.tail, r.trips) == (4, 0, 4)
-        assert not r.has_boundary
+        lengths, allocs = m_leaves(128, 32)
+        assert lengths == [32]
+        assert allocs[0].shape == (32, 64)  # spm_a: M x K
 
     def test_ragged_split(self):
-        r = split_extent(100, 32)
-        assert (r.full_trips, r.tail, r.trips) == (3, 4, 4)
-        assert r.has_boundary
+        lengths, allocs = m_leaves(100, 32)
+        assert lengths == [4, 32]
+        assert allocs[0].shape == (32, 64)  # the full tile covers the tail
 
     def test_factor_one(self):
-        r = split_extent(7, 1)
-        assert r.full_trips == 7 and r.tail == 0
+        assert m_leaves(7, 1)[0] == [1]
 
     def test_factor_equals_extent(self):
-        r = split_extent(7, 7)
-        assert r.full_trips == 1 and r.tail == 0
+        assert m_leaves(7, 7)[0] == [7]
 
     def test_validation(self):
-        with pytest.raises(ScheduleError):
-            split_extent(0, 1)
-        with pytest.raises(ScheduleError):
-            split_extent(8, 9)
-        with pytest.raises(ScheduleError):
-            split_extent(8, 0)
+        cd = gemm_cd(8, 64, 64)
+        for tile in (0, 9):
+            strategy = ScheduleStrategy({"tile:M": tile})
+            assert not legal(cd, strategy)
+            with pytest.raises(ScheduleError):
+                lower_strategy(cd, strategy)
 
     def test_split_fuse_roundtrip(self):
-        r = split_extent(96, 24)
-        assert fuse_extents(r.full_trips, r.factor) == 96
+        _, kernel = lower_gemm(96, 64, 64, 24, 64, 64)
+        assert trips(kernel, "cM") == [4]  # 4 x 24 == 96, no tail
+        assert m_leaves(96, 24)[0] == [24]
 
 
 class TestReorderFuse:
     def test_reorder_valid(self):
-        assert reorder_axes(("K", "M"), ("M", "K")) == ("K", "M")
+        strategy = ScheduleStrategy({"order": ("N", "M", "K")})
+        assert loop_order(gemm_cd(), strategy) == ("N", "M", "K")
 
     def test_reorder_invalid(self):
+        strategy = ScheduleStrategy({"order": ("M", "M", "K")})
         with pytest.raises(ScheduleError):
-            reorder_axes(("M", "M"), ("M", "K"))
-
-    def test_fuse_validation(self):
-        with pytest.raises(ScheduleError):
-            fuse_extents(0, 4)
-
-
-def make_gemm(n=16, b_spm="spm_b"):
-    return GemmOpNode(
-        m=8, n=n, k=4,
-        a_spm="spm_a", b_spm=b_spm, c_spm="spm_c",
-        a_map=((0,), (1,)), b_map=((0,), (1,)), c_map=((0,), (1,)),
-        variant=ALL_VARIANTS[0],
-        a_lens=(8, 4), b_lens=(4, n), c_lens=(8, n),
-    )
-
-
-class TestGemmFusion:
-    def test_fuses_adjacent_shared_input(self):
-        seq = SeqNode([make_gemm(16), make_gemm(16), make_gemm(16)])
-        out = fuse_shared_input_gemms(seq)
-        assert isinstance(out, SeqNode)
-        assert len(out.body) == 1
-        fused = out.body[0]
-        assert isinstance(fused, GemmOpNode)
-        assert fused.n == 48
-        assert fused.b_lens == (4, 48)
-
-    def test_different_operands_not_fused(self):
-        seq = SeqNode([make_gemm(16), make_gemm(16, b_spm="spm_b2")])
-        out = fuse_shared_input_gemms(seq)
-        assert len(out.body) == 2
-
-    def test_interrupted_run_not_fused(self):
-        seq = SeqNode([make_gemm(), ZeroSpmNode("spm_c"), make_gemm()])
-        out = fuse_shared_input_gemms(seq)
-        assert len(out.body) == 3
-
-    def test_fusion_inside_loops(self):
-        loop = ForNode("i", 2, SeqNode([make_gemm(), make_gemm()]))
-        out = fuse_shared_input_gemms(loop)
-        assert isinstance(out, ForNode)
-        inner = out.body
-        assert isinstance(inner, SeqNode) and len(inner.body) == 1
-
-    def test_fused_flops_preserved(self):
-        gemms = [make_gemm(16) for _ in range(4)]
-        total = sum(g.flops for g in gemms)
-        out = fuse_shared_input_gemms(SeqNode(gemms))
-        assert out.body[0].flops == total
-
-
-class TestNestDepth:
-    def test_depth(self):
-        nest = ForNode("i", 2, SeqNode([ForNode("j", 2, ZeroSpmNode("x"))]))
-        assert perfect_nest_depth(nest) == 2
-
-    def test_non_loop(self):
-        assert perfect_nest_depth(ZeroSpmNode("x")) == 0
+            loop_order(gemm_cd(), strategy)
