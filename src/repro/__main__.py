@@ -21,7 +21,9 @@ from .options import use
 from .passes import IrDump
 
 
-def _tables(name: str, scale):
+def _tables(name: str, scale, sweeps=None):
+    """The tables of one experiment.  ``tab1`` and ``fig8`` render one
+    sweep; callers that pass the same ``sweeps`` dict run it once."""
     if name == "fig5":
         yield E.fig5_implicit_conv(scale=scale).table()
     elif name == "fig6":
@@ -29,7 +31,10 @@ def _tables(name: str, scale):
     elif name == "fig7":
         yield E.fig7_explicit_conv(scale=scale).table()
     elif name in ("tab1", "fig8"):
-        res = E.tab1_fig8_versatility(scale=scale)
+        sweeps = {} if sweeps is None else sweeps
+        if "versatility" not in sweeps:
+            sweeps["versatility"] = E.tab1_fig8_versatility(scale=scale)
+        res = sweeps["versatility"]
         yield res.tab1() if name == "tab1" else res.fig8()
     elif name == "tab2":
         yield E.tab2_gemm(scale=scale).table()
@@ -152,10 +157,11 @@ def main(argv=None) -> int:
         changes["dump_ir"] = IrDump(args.dump_ir)
     scale = get_scale(args.scale)
     names = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
+    sweeps: dict = {}
     with use(**changes) as options:
         for name in names:
             t0 = time.perf_counter()
-            for table in _tables(name, scale):
+            for table in _tables(name, scale, sweeps):
                 print(table.render())
             print(f"[{name}: {time.perf_counter() - t0:.1f}s]\n")
         if options.eval_store is not None:

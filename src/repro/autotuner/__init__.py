@@ -5,7 +5,6 @@ from .calibrate import (
     calibration_samples,
     default_coeffs,
     fit_all,
-    fit_quality,
     fit_variant,
 )
 from .cost_model import (
@@ -29,7 +28,6 @@ __all__ = [
     "GemmCoeffs",
     "fit_variant",
     "fit_all",
-    "fit_quality",
     "default_coeffs",
     "calibration_samples",
     "DEFAULT_GRID",

@@ -104,20 +104,3 @@ def default_coeffs(config: Optional[MachineConfig] = None) -> GemmCoeffs:
     cfg = config or default_config()
     return {k: tuple(v) for k, v in _cached_fit(cfg)}  # type: ignore[misc]
 
-
-def fit_quality(
-    variant: KernelVariant,
-    grid: Sequence[int] = DEFAULT_GRID,
-    config: Optional[MachineConfig] = None,
-) -> Dict[str, float]:
-    """Relative-error statistics of the fit (diagnostics; the paper's
-    'high accuracy of our static performance model')."""
-    x, y = calibration_samples(variant, grid, config)
-    coeffs = np.asarray(fit_variant(variant, grid, config))
-    pred = x @ coeffs
-    rel = np.abs(pred - y) / np.maximum(y, 1.0)
-    return {
-        "mean_rel_err": float(rel.mean()),
-        "max_rel_err": float(rel.max()),
-        "samples": float(len(y)),
-    }

@@ -38,7 +38,6 @@ from .evaluators import (
     clear_feeds_cache,
     clear_shared_memo,
     compute_signature,
-    shared_memo_size,
     strategy_key,
     synthetic_feeds,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "reference_outputs",
     "resolve_validate",
     "search_candidates",
-    "shared_memo_size",
     "space_bounds",
     "strategy_key",
     "strategy_bound",

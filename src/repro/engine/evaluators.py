@@ -262,10 +262,6 @@ def clear_shared_memo() -> None:
     _SHARED_MEMO.clear()
 
 
-def shared_memo_size() -> int:
-    return len(_SHARED_MEMO)
-
-
 #: "disk not specified" marker: resolved to the run's
 #: ``TuneOptions.eval_store`` (see :mod:`repro.options`) at lookup time,
 #: so installing a cache after evaluators were built still works.

@@ -19,14 +19,7 @@ from .nodes import (
     ZeroSpmNode,
 )
 from .printer import pretty
-from .visitors import (
-    count_nodes,
-    find_all,
-    find_unique,
-    loop_nest_of,
-    transform,
-    walk,
-)
+from .visitors import count_nodes, find_all, transform, walk
 
 __all__ = [
     "AffineExpr",
@@ -49,8 +42,6 @@ __all__ = [
     "pretty",
     "walk",
     "find_all",
-    "find_unique",
     "transform",
     "count_nodes",
-    "loop_nest_of",
 ]

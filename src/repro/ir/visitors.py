@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, List, Optional, Type, TypeVar
 
-from ..errors import IrError
 from .nodes import Node
 
 N = TypeVar("N", bound=Node)
@@ -30,13 +29,6 @@ def walk(node: Node) -> Iterator[Node]:
 def find_all(node: Node, kind: Type[N]) -> List[N]:
     """All descendants (including the root) of the given node class."""
     return [n for n in walk(node) if isinstance(n, kind)]
-
-
-def find_unique(node: Node, kind: Type[N]) -> N:
-    found = find_all(node, kind)
-    if len(found) != 1:
-        raise IrError(f"expected exactly one {kind.__name__}, found {len(found)}")
-    return found[0]
 
 
 def transform(node: Node, fn: Callable[[Node], Optional[Node]]) -> Node:
@@ -60,26 +52,3 @@ def count_nodes(node: Node, kind: Optional[Type[Node]] = None) -> int:
         return sum(1 for _ in walk(node))
     return sum(1 for n in walk(node) if isinstance(n, kind))
 
-
-def loop_nest_of(root: Node, target: Node) -> List["Node"]:
-    """The chain of ancestor ForNodes of ``target`` (outermost first).
-
-    Used by DMA inference to know which loop variables an access's
-    offsets may legally reference, and by the prefetch pass to build
-    next-iteration inference.
-    """
-    from .nodes import ForNode
-
-    path: List[Node] = []
-
-    def visit(node: Node, stack: List[Node]) -> bool:
-        if node is target:
-            path.extend(stack)
-            return True
-        if isinstance(node, ForNode):
-            stack = stack + [node]
-        return any(visit(c, stack) for c in node.children())
-
-    if not visit(root, []):
-        raise IrError("target node not found under root")
-    return path

@@ -53,24 +53,6 @@ class Buffer:
             acc *= extent
         return tuple(reversed(strides))
 
-    def elem_addr(self, index: Tuple[int, ...]) -> int:
-        """Byte address of the element at ``index``."""
-        if len(index) != len(self.shape):
-            raise MainMemoryError(
-                f"index rank {len(index)} != buffer rank {len(self.shape)}"
-            )
-        off = 0
-        for i, (idx, extent, stride) in enumerate(
-            zip(index, self.shape, self.strides_elems)
-        ):
-            if not (0 <= idx < extent):
-                raise MainMemoryError(
-                    f"index {idx} out of range [0, {extent}) in dim {i} "
-                    f"of buffer {self.name!r}"
-                )
-            off += idx * stride
-        return self.addr + off * self.itemsize
-
 
 class MainMemory:
     """Flat byte-addressed memory with a bump allocator.

@@ -1,12 +1,9 @@
 """SW26010 vector ISA helpers.
 
 The SW instruction set extensions the swATOP kernels rely on
-(Appendix 9) are modelled as two things:
-
-* *instruction builders* producing :class:`~.pipeline.Instr` sequences
-  for the pipeline scheduler (timing), and
-* *functional* NumPy equivalents (semantics), used in tests to check
-  that the modelled instructions compute what their names promise.
+(Appendix 9) are modelled as *instruction builders* producing
+:class:`~.pipeline.Instr` sequences for the pipeline scheduler
+(timing); the executor computes their results with NumPy.
 
 Two load flavours matter for kernel-variant selection:
 
@@ -22,12 +19,8 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from ..errors import PipelineError
 from .pipeline import Instr
-
-VECTOR_LANES = 4
 
 
 # --------------------------------------------------------------------------
@@ -70,43 +63,3 @@ def loop_control(counter: str) -> List[Instr]:
     """Decrement-and-branch pair closing a loop."""
     return [Instr.make("iop", counter, counter), Instr.make("iop", None, counter)]
 
-
-# --------------------------------------------------------------------------
-# functional semantics (for tests)
-# --------------------------------------------------------------------------
-def f_vmad(acc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Functional ``vmad``: elementwise fused multiply-add on 4 lanes."""
-    acc = np.asarray(acc, dtype=np.float32)
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    for v in (acc, a, b):
-        if v.shape != (VECTOR_LANES,):
-            raise PipelineError(f"vmad operand shape {v.shape} != ({VECTOR_LANES},)")
-    return acc + a * b
-
-
-def f_extend(x: float) -> np.ndarray:
-    """Functional scalar extend: one float replicated over 4 lanes."""
-    return np.full(VECTOR_LANES, np.float32(x), dtype=np.float32)
-
-
-def f_load_vector(spm: np.ndarray, offset: int) -> np.ndarray:
-    """Functional contiguous 4-float load from a flat SPM array."""
-    if offset < 0 or offset + VECTOR_LANES > spm.size:
-        raise PipelineError(
-            f"vector load [{offset}, {offset + VECTOR_LANES}) outside SPM "
-            f"of {spm.size} elements"
-        )
-    return np.asarray(spm[offset : offset + VECTOR_LANES], dtype=np.float32).copy()
-
-
-def vectorizable(extent: int, lanes: int = VECTOR_LANES) -> bool:
-    """Whether a dimension of the given extent can be fully vectorized
-    without boundary handling."""
-    return extent % lanes == 0
-
-
-def vector_chunks(extent: int, lanes: int = VECTOR_LANES) -> int:
-    """Number of vector registers needed to cover ``extent`` elements
-    (boundary chunk included)."""
-    return -(-extent // lanes)

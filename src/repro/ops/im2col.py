@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -30,16 +30,6 @@ from ..machine.memory import transaction_bytes
 from .conv_common import ConvParams, pad_input
 
 LAYOUTS = ("kn", "nk")
-
-
-def col_shape(params: ConvParams, layout: str = "kn") -> Tuple[int, int]:
-    k = params.ni * params.kr * params.kc
-    n = params.batch * params.ro * params.co
-    if layout == "kn":
-        return (k, n)
-    if layout == "nk":
-        return (n, k)
-    raise WorkloadError(f"unknown im2col layout {layout!r}")
 
 
 def im2col(x: np.ndarray, params: ConvParams, layout: str = "kn") -> np.ndarray:

@@ -7,7 +7,6 @@ from .boundary import (
     lightweight_pad_sites,
     pad_tensor,
     pad_up,
-    padded_shape,
     traditional_pad_cost,
     unpad_tensor,
 )
@@ -23,7 +22,6 @@ from .memplan import per_cpe_bytes, plan_allocs, plan_spm, spm_utilization
 from .prefetch import (
     apply_prefetch,
     direct_stream_dmas,
-    next_iteration_env,
     pipelined_loops,
 )
 
@@ -37,13 +35,11 @@ __all__ = [
     "apply_prefetch",
     "pipelined_loops",
     "direct_stream_dmas",
-    "next_iteration_env",
     "plan_allocs",
     "plan_spm",
     "per_cpe_bytes",
     "spm_utilization",
     "pad_up",
-    "padded_shape",
     "pad_tensor",
     "unpad_tensor",
     "traditional_pad_cost",

@@ -36,12 +36,6 @@ def pad_up(extent: int, multiple: int) -> int:
     return -(-extent // multiple) * multiple
 
 
-def padded_shape(shape: Tuple[int, ...], multiples: Tuple[int, ...]) -> Tuple[int, ...]:
-    if len(shape) != len(multiples):
-        raise ValueError("shape/multiples rank mismatch")
-    return tuple(pad_up(s, m) for s, m in zip(shape, multiples))
-
-
 @dataclass(frozen=True)
 class PaddingCost:
     """Simulated cost of a traditional main-memory padding pass."""

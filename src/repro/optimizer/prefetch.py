@@ -127,21 +127,3 @@ def apply_prefetch(kernel: KernelNode) -> KernelNode:
 def pipelined_loops(kernel: KernelNode) -> List[ForNode]:
     return [n for n in walk(kernel) if isinstance(n, ForNode) and n.pipelined]
 
-
-def next_iteration_env(
-    loops: List[tuple],
-    env: dict,
-) -> Optional[dict]:
-    """Advance an index vector with carry: the executable form of the
-    paper's nested if-then-else next-iteration inference.
-
-    ``loops`` lists (var, extent) innermost-first.  Returns the next
-    environment, or ``None`` when the nest is exhausted.
-    """
-    out = dict(env)
-    for var, extent in loops:
-        out[var] = out.get(var, 0) + 1
-        if out[var] < extent:
-            return out
-        out[var] = 0
-    return None

@@ -20,10 +20,10 @@ Three named stages registered on the
 
 Both pre-IR stages together are :func:`~repro.scheduler.lower.legal`,
 the exact legality check; only a legal strategy builds a loop nest.
-The stages call the same helpers as the frozen
-:func:`~repro.scheduler.lower.reference_lower_strategy`, so the lowered
-IR is bit-identical -- the golden tests assert it.  ``--dump-ir`` has
-no IR to print around the two pre-IR stages.
+These stages are the only lowering; the golden tests pin a digest of
+the IR they build for every strategy of seven fixed spaces
+(``tests/passes/golden_ir.json``).  ``--dump-ir`` has no IR to print
+around the two pre-IR stages.
 """
 
 from __future__ import annotations

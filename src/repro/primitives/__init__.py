@@ -8,7 +8,7 @@ exactly as the paper's hand-written assembly kernels do (Sec. 4.1,
 Appendix 9); DMA is costed by :mod:`repro.machine.dma`.
 """
 
-from .asm_emitter import emit_all_kernels, emit_inner_loop, kernel_summary
+from .asm_emitter import emit_all_kernels, emit_inner_loop
 from .gemm_kernel import (
     ALL_VARIANTS,
     COL_MAJOR,
@@ -30,7 +30,6 @@ from .registry import PrimitiveInfo, PrimitiveRegistry, default_registry
 __all__ = [
     "emit_all_kernels",
     "emit_inner_loop",
-    "kernel_summary",
     "GemmCost",
     "KernelVariant",
     "ALL_VARIANTS",

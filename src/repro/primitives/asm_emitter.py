@@ -100,23 +100,3 @@ def emit_all_kernels(config: Optional[MachineConfig] = None) -> str:
         parts.append(emit_inner_loop(variant, cfg))
     return "\n".join(parts)
 
-
-def kernel_summary(config: Optional[MachineConfig] = None) -> List[dict]:
-    """Per-variant digest (used by tests and the docs example)."""
-    cfg = config or default_config()
-    out = []
-    for variant in ALL_VARIANTS:
-        body = _k_step_instrs(variant, "e", "o")
-        out.append(
-            {
-                "name": variant.name,
-                "cycles_per_k": cycles_per_k_step(variant, cfg),
-                "vmads_per_k": sum(1 for i in body if i.op == "vmad"),
-                "loads_per_k": sum(
-                    1 for i in body
-                    if i.op in ("vldd", "vlddr", "vlddc", "vldder", "vlddec", "ldd")
-                ),
-                "vec_contiguous": variant.vec_operand_contiguous,
-            }
-        )
-    return out

@@ -16,7 +16,7 @@ paper attributes to the hand-written kernels:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import IllegalCandidateError
 from ..machine.config import MachineConfig, default_config
@@ -122,22 +122,6 @@ class PrimitiveRegistry:
             switches=base.switches * info.cycle_scale,
             call_overhead=base.call_overhead * info.cycle_scale,
         )
-
-    def best_variant(
-        self, m: int, n: int, k: int, *, allow_boundary: bool = True
-    ) -> Tuple[KernelVariant, GemmCost]:
-        """Cheapest legal public variant for a tile (used by the paper's
-        'dynamically picks the optimal tensorized primitives')."""
-        best: Optional[Tuple[KernelVariant, GemmCost]] = None
-        for variant in self.legal_variants(m, n, k, allow_boundary=allow_boundary):
-            cost = self.cost(m, n, k, variant)
-            if best is None or cost.total < best[1].total:
-                best = (variant, cost)
-        if best is None:
-            raise IllegalCandidateError(
-                f"no legal primitive for GEMM tile ({m}, {n}, {k})"
-            )
-        return best
 
 
 _DEFAULT_REGISTRY: Optional[PrimitiveRegistry] = None

@@ -364,6 +364,3 @@ class AtopLibrary:
     def _autosave(self) -> None:
         if self.cache_path is not None:
             self.cache.save(self.cache_path)
-
-    def save_cache(self, path: Union[str, Path]) -> None:
-        self.cache.save(path)

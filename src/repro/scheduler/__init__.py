@@ -1,13 +1,7 @@
 """Scheduler: schedule-space traversal and strategy lowering (Sec. 4.3)."""
 
 from .enumerate import Candidate, EnumerationStats
-from .lower import (
-    LoweringOptions,
-    axis_of_dim,
-    legal,
-    lower_strategy,
-    reference_lower_strategy,
-)
+from .lower import LoweringOptions, axis_of_dim, legal, lower_strategy
 
 __all__ = [
     "Candidate",
@@ -15,6 +9,5 @@ __all__ = [
     "LoweringOptions",
     "legal",
     "lower_strategy",
-    "reference_lower_strategy",
     "axis_of_dim",
 ]

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dsl.compute import REDUCTION, ComputeDef, ShiftedDim
 from ..dsl.schedule import ScheduleStrategy
-from ..errors import IllegalCandidateError, LoweringError, SpmCapacityError
+from ..errors import IllegalCandidateError, LoweringError
 from ..ir.expr import AffineExpr
 from ..ir.nodes import (
     AllocSpmNode,
@@ -53,9 +53,8 @@ from ..ir.nodes import (
 )
 from ..machine.config import MachineConfig, default_config
 from ..machine.dma import MEM_TO_SPM, SPM_TO_MEM
-from ..optimizer.memplan import plan_allocs
 from ..primitives.microkernel import COL_MAJOR, ROW_MAJOR, KernelVariant
-from ..primitives.registry import PrimitiveRegistry, default_registry
+from ..primitives.registry import PrimitiveRegistry
 
 
 @dataclass
@@ -92,7 +91,8 @@ def lower_strategy(
     resulting IR.  Raises :class:`IllegalCandidateError` for strategies
     the scheduler must prune (bad loop order, SPM overflow, no legal
     primitive) and :class:`LoweringError` for structural problems in
-    the seed itself.
+    the seed itself.  This is the only lowering path; the golden tests
+    pin its raw and optimized IR per strategy.
     """
     # lazy import: repro.passes.lowering imports this module's helpers
     from ..passes.lowering import lowering_passes
@@ -140,65 +140,6 @@ def _context(
     return PassContext(
         compute=compute, config=config or default_config(),
         strategy=strategy, options=options, registry=registry,
-    )
-
-
-def reference_lower_strategy(
-    compute: ComputeDef,
-    strategy: ScheduleStrategy,
-    *,
-    options: Optional[LoweringOptions] = None,
-    config: Optional[MachineConfig] = None,
-    registry: Optional[PrimitiveRegistry] = None,
-) -> KernelNode:
-    """The pre-pipeline monolithic lowering.
-
-    Kept as the oracle for the golden tests: the staged pipeline behind
-    :func:`lower_strategy` must produce bit-identical IR to this
-    function for any strategy.  It shares the leaf table and the
-    builder with the stages, so what it checks is their composition.
-    Not used by any runtime consumer.
-    """
-    compute.validate()
-    opts = options or LoweringOptions()
-    cfg = config or default_config()
-    reg = registry or default_registry()
-    gemm = compute.gemm
-    assert gemm is not None  # validate() guarantees
-
-    tiles = _tile_sizes(compute, strategy)
-    order = loop_order(compute, strategy)
-    _check_order_legality(compute, order)
-    _check_kernel_axes(compute, tiles)
-
-    variant = kernel_variant(strategy)
-    layouts = _tensor_layouts(compute, strategy)
-
-    # --- tile geometry ----------------------------------------------------
-    m_tile = tiles[gemm.m_axis]
-    n_tile = math.prod(tiles[ax] for ax in gemm.n_axes)
-    k_tile = tiles[gemm.k_axis]
-    reg.check_legal(m_tile, n_tile, k_tile, variant)
-
-    leaves, allocs = leaf_table(compute, tiles, layouts, variant, opts, cfg)
-    try:
-        plan_allocs(allocs, cfg)
-    except SpmCapacityError as exc:  # candidate pruned
-        raise IllegalCandidateError(str(exc)) from exc
-
-    body = _KernelBuilder(
-        compute=compute,
-        tiles=tiles,
-        order=order,
-        layouts=layouts,
-        variant=variant,
-        leaves=leaves,
-    ).build()
-    return KernelNode(
-        name=f"{compute.name}__{variant.name}",
-        allocs=allocs,
-        body=body,
-        tensor_layouts=layouts,
     )
 
 

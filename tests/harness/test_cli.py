@@ -3,6 +3,8 @@
 import pytest
 
 import repro.__main__ as cli
+from repro.harness import experiments as E
+from repro.harness.report import Table
 from repro.harness.scales import Scale
 from repro.options import current
 
@@ -45,6 +47,28 @@ class TestTables:
         assert "IR after pass" in captured.err
         assert "IR after pass" not in captured.out
 
+    def test_all_runs_the_versatility_sweep_once(self, monkeypatch, capsys):
+        """``all`` renders Tab. 1 and Fig. 8 from one sweep."""
+        calls = []
+
+        class Sweep:
+            def tab1(self):
+                return Table("tab1 stub", ["x"])
+
+            def fig8(self):
+                return Table("fig8 stub", ["x"])
+
+        def sweep(scale):
+            calls.append(scale)
+            return Sweep()
+
+        monkeypatch.setattr(E, "tab1_fig8_versatility", sweep)
+        monkeypatch.setattr(cli, "EXPERIMENTS", ("tab1", "fig8"))
+        assert cli.main(["all", "--scale", "smoke"]) == 0
+        out = capsys.readouterr().out
+        assert "tab1 stub" in out and "fig8 stub" in out
+        assert len(calls) == 1
+
     def test_dump_ir_filters_to_named_pass(self, capsys):
         rc = cli.main(["fig10", "--scale", "smoke", "--dump-ir", "prefetch"])
         assert rc == 0
@@ -63,7 +87,7 @@ class TestOptionsScope:
     def test_restored_on_return(self, tmp_path, monkeypatch, capsys):
         seen = []
 
-        def tables(name, scale):
+        def tables(name, scale, sweeps):
             seen.append(current())
             return iter(())
 
@@ -81,7 +105,7 @@ class TestOptionsScope:
         assert current() is before
 
     def test_restored_on_system_exit(self, monkeypatch, capsys):
-        def tables(name, scale):
+        def tables(name, scale, sweeps):
             assert current().prune is False
             raise SystemExit("stop")
 

@@ -18,14 +18,7 @@ from repro.ir.nodes import (
     ZeroSpmNode,
 )
 from repro.ir.printer import pretty
-from repro.ir.visitors import (
-    count_nodes,
-    find_all,
-    find_unique,
-    loop_nest_of,
-    transform,
-    walk,
-)
+from repro.ir.visitors import count_nodes, find_all, transform, walk
 from repro.machine.dma import MEM_TO_SPM
 from repro.primitives.microkernel import ALL_VARIANTS
 
@@ -118,12 +111,6 @@ class TestVisitors:
         assert len(find_all(k, DmaCgNode)) == 1
         assert len(find_all(k, AllocSpmNode)) == 2
 
-    def test_find_unique(self):
-        k = sample_kernel()
-        assert find_unique(k, GemmOpNode).m == 8
-        with pytest.raises(IrError):
-            find_unique(k, AllocSpmNode)
-
     def test_count_nodes(self):
         k = sample_kernel()
         assert count_nodes(k, ForNode) == 1
@@ -144,20 +131,11 @@ class TestVisitors:
             return None
 
         out = transform(k, double_loops)
-        assert find_unique(out, ForNode).extent == 8
+        loops = find_all(out, ForNode)
+        assert len(loops) == 1 and loops[0].extent == 8
         # original untouched
-        assert find_unique(k, ForNode).extent == 4
-
-    def test_loop_nest_of(self):
-        k = sample_kernel()
-        gemm = find_unique(k, GemmOpNode)
-        nest = loop_nest_of(k, gemm)
-        assert [n.var for n in nest] == ["i"]
-
-    def test_loop_nest_of_missing(self):
-        k = sample_kernel()
-        with pytest.raises(IrError):
-            loop_nest_of(k, sample_gemm())  # different object
+        loops = find_all(k, ForNode)
+        assert len(loops) == 1 and loops[0].extent == 4
 
 
 class TestPrinter:

@@ -76,20 +76,6 @@ class TestFunctionalAccess:
 
 
 class TestBufferAddressing:
-    def test_elem_addr_row_major(self):
-        buf = Buffer("a", 1000, (3, 4), np.dtype(np.float32))
-        assert buf.elem_addr((0, 0)) == 1000
-        assert buf.elem_addr((0, 1)) == 1004
-        assert buf.elem_addr((1, 0)) == 1000 + 4 * 4
-        assert buf.elem_addr((2, 3)) == 1000 + (2 * 4 + 3) * 4
-
-    def test_elem_addr_bounds(self):
-        buf = Buffer("a", 0, (2, 2), np.dtype(np.float32))
-        with pytest.raises(MainMemoryError):
-            buf.elem_addr((2, 0))
-        with pytest.raises(MainMemoryError):
-            buf.elem_addr((0, 0, 0))
-
     def test_strides(self):
         buf = Buffer("a", 0, (2, 3, 5), np.dtype(np.float32))
         assert buf.strides_elems == (15, 5, 1)

@@ -1,6 +1,5 @@
 """Tests for the vector ISA helpers."""
 
-import numpy as np
 import pytest
 
 from repro.errors import PipelineError
@@ -39,50 +38,3 @@ class TestBuilders:
         assert len(ctrl) == 2
         assert all(i.op == "iop" for i in ctrl)
 
-
-class TestFunctional:
-    def test_f_vmad(self):
-        acc = np.ones(4, np.float32)
-        a = np.arange(4, dtype=np.float32)
-        b = np.full(4, 2.0, np.float32)
-        np.testing.assert_allclose(V.f_vmad(acc, a, b), acc + a * b)
-
-    def test_f_vmad_shape_checked(self):
-        with pytest.raises(PipelineError):
-            V.f_vmad(np.ones(3), np.ones(4), np.ones(4))
-
-    def test_f_extend(self):
-        v = V.f_extend(2.5)
-        assert v.shape == (4,)
-        assert (v == np.float32(2.5)).all()
-
-    def test_f_load_vector(self):
-        spm = np.arange(16, dtype=np.float32)
-        np.testing.assert_array_equal(V.f_load_vector(spm, 4), [4, 5, 6, 7])
-
-    def test_f_load_vector_bounds(self):
-        spm = np.arange(6, dtype=np.float32)
-        with pytest.raises(PipelineError):
-            V.f_load_vector(spm, 4)  # 4..8 exceeds size 6
-
-    def test_extend_matches_broadcast_semantics(self):
-        """vldder == load one element then vmad behaves like scalar*vec."""
-        spm = np.array([3.0, 0, 0, 0], np.float32)
-        ext = V.f_extend(spm[0])
-        vec = np.arange(4, dtype=np.float32)
-        np.testing.assert_allclose(
-            V.f_vmad(np.zeros(4, np.float32), ext, vec), 3.0 * vec
-        )
-
-
-class TestShapes:
-    def test_vectorizable(self):
-        assert V.vectorizable(8)
-        assert not V.vectorizable(6)
-        assert V.vectorizable(0)
-
-    def test_vector_chunks(self):
-        assert V.vector_chunks(8) == 2
-        assert V.vector_chunks(9) == 3
-        assert V.vector_chunks(1) == 1
-        assert V.vector_chunks(0) == 0

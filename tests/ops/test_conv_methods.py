@@ -7,7 +7,7 @@ from repro.errors import WorkloadError
 from repro.ops import conv_explicit, conv_implicit, conv_winograd, select_method
 from repro.ops.conv_common import ConvParams
 from repro.ops.direct import conv2d_reference
-from repro.ops.im2col import col_shape, im2col, im2col_cost
+from repro.ops.im2col import im2col, im2col_cost
 from repro.ops.selector import applicable_methods
 
 
@@ -64,10 +64,11 @@ class TestImplicitSeed:
 class TestIm2col:
     def test_col_shape(self):
         p = small_params()
-        assert col_shape(p, "kn") == (8 * 9, 2 * 8 * 8)
-        assert col_shape(p, "nk") == (2 * 8 * 8, 8 * 9)
+        x = np.zeros((p.batch, p.ni, p.ri, p.ci), np.float32)
+        assert im2col(x, p, "kn").shape == (8 * 9, 2 * 8 * 8)
+        assert im2col(x, p, "nk").shape == (2 * 8 * 8, 8 * 9)
         with pytest.raises(WorkloadError):
-            col_shape(p, "zz")
+            im2col(x, p, "zz")
 
     def test_expansion_reproduces_conv(self):
         """W_mat @ col == direct convolution."""

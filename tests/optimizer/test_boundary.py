@@ -10,7 +10,6 @@ from repro.optimizer.boundary import (
     lightweight_pad_sites,
     pad_tensor,
     pad_up,
-    padded_shape,
     traditional_pad_cost,
     unpad_tensor,
 )
@@ -28,11 +27,6 @@ class TestPadMath:
     def test_pad_up_validation(self):
         with pytest.raises(ValueError):
             pad_up(4, 0)
-
-    def test_padded_shape(self):
-        assert padded_shape((13, 100), (4, 64)) == (16, 128)
-        with pytest.raises(ValueError):
-            padded_shape((4,), (4, 4))
 
 
 class TestFunctionalPadding:

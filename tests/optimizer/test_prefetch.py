@@ -9,7 +9,6 @@ from repro.optimizer.dma_inference import infer_dma
 from repro.optimizer.prefetch import (
     apply_prefetch,
     direct_stream_dmas,
-    next_iteration_env,
     pipelined_loops,
 )
 from repro.scheduler import LoweringOptions, lower_strategy
@@ -99,19 +98,3 @@ class TestApplyPrefetch:
                 # loop-invariant leftovers (hoisted) or C traffic
                 assert dma.spm in ("spm_a", "spm_b", "spm_c")
 
-
-class TestNextIterationEnv:
-    def test_innermost_advance(self):
-        nxt = next_iteration_env([("k", 4), ("n", 2)], {"k": 1, "n": 0})
-        assert nxt == {"k": 2, "n": 0}
-
-    def test_carry(self):
-        nxt = next_iteration_env([("k", 4), ("n", 2)], {"k": 3, "n": 0})
-        assert nxt == {"k": 0, "n": 1}
-
-    def test_exhausted(self):
-        assert next_iteration_env([("k", 4), ("n", 2)], {"k": 3, "n": 1}) is None
-
-    def test_single_loop(self):
-        assert next_iteration_env([("k", 3)], {"k": 2}) is None
-        assert next_iteration_env([("k", 3)], {"k": 0}) == {"k": 1}

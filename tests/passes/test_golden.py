@@ -1,38 +1,60 @@
-"""Golden tests: the staged pass pipeline is a refactor, not a rewrite.
+"""Golden tests: lowering and the optimizer keep producing pinned IR.
 
-``reference_lower_strategy`` is the frozen pre-pipeline monolith and
-``infer_dma``/``apply_prefetch`` its optimizer tail; for every strategy
-of a fixed set the pipeline must produce **bit-identical** IR (the
-nodes are dataclasses, so ``==`` is deep structural equality) and the
-tuner's ranking over the space must be unchanged.
+``golden_ir.json`` pins every strategy, in enumeration order, of seven
+fixed spaces: :func:`gemm_space`, :func:`conv_space` and the five
+``COLLAPSE_SPACES``.  A strategy lowering rejects is pinned as ``null``;
+any other as the row named by the file's ``fields``: digests of the raw
+IR, of the optimized IR with prefetch on and with prefetch off, and the
+exact ``predict_kernel`` cycles of both optimized kernels
+(``float.hex``).  A digest is the SHA-256 of ``repr(KernelNode)``: the
+nodes are dataclasses, so the repr spells out the whole tree (and the
+insertion order of affine coefficients, which ``==`` ignores).
 
-``reference_lower_strategy`` shares the loop builder with the pipeline,
-so the builder's own rewrites are pinned separately: a copy of the
+The pins were written while the frozen pre-pipeline lowering still
+existed, and that lowering with its optimizer tail gave identical rows,
+so they share no code with what they check.  Re-pinning
+(``PYTHONPATH=src python -m tests.passes.test_golden``) is a deliberate
+act: a change that moves a pin says why, as one that moves the CI
+cycles pins does.
+
+The loop builder's own rewrites are pinned separately: a copy of the
 builder that collapsed trip-count-1 loops by substituting zero for the
 loop index must produce the same IR over whole GEMM and convolution
 spaces.
 """
 
-from typing import Dict, List
+import functools
+import hashlib
+import json
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence
 
 import pytest
 
+from repro.autotuner.calibrate import default_coeffs
+from repro.autotuner.cost_model import predict_kernel
 from repro.dsl import ScheduleSpace
 from repro.engine import AnalyticEvaluator, CandidatePipeline
 from repro.errors import IllegalCandidateError
 from repro.ir.expr import AffineExpr
-from repro.ir.nodes import DmaCgNode, ForNode, Node, SeqNode, TileAccess
+from repro.ir.nodes import DmaCgNode, ForNode, KernelNode, Node, SeqNode, TileAccess
+from repro.machine.config import default_config
 from repro.ops import conv_explicit, conv_implicit, conv_winograd
 from repro.ops import gemm as gemm_ops
 from repro.ops.conv_common import ConvParams
 from repro.ops.strided import decompose
-from repro.optimizer import apply_prefetch, infer_dma
 from repro.passes import lowering as lowering_module
-from repro.scheduler import lower_strategy, reference_lower_strategy
+from repro.scheduler import lower_strategy
 from repro.scheduler.enumerate import Candidate
 from repro.scheduler.lower import _KernelBuilder, _tile_sizes
 
 from ..scheduler.test_lower import conv_cd, gemm_cd
+
+PINS = Path(__file__).with_name("golden_ir.json")
+FIELDS = (
+    "raw", "optimized", "optimized-no-prefetch",
+    "cycles", "cycles-no-prefetch",
+)
 
 
 def gemm_space(M=128, N=128, K=96):
@@ -56,70 +78,101 @@ def conv_space():
     return cd, sp
 
 
-def reference_compile(cd, strategy, *, prefetch=True):
-    kernel = reference_lower_strategy(cd, strategy)
-    kernel = infer_dma(kernel, cd)
-    if prefetch:
-        kernel = apply_prefetch(kernel)
-    return kernel
+def _digest(kernel: KernelNode) -> str:
+    return hashlib.sha256(repr(kernel).encode()).hexdigest()[:16]
+
+
+def space_rows(cd, sp) -> List[Optional[List[str]]]:
+    """The pin row of every strategy of ``sp``, in enumeration order."""
+    config = default_config()
+    coeffs = default_coeffs(config)
+    pipes = [CandidatePipeline(cd), CandidatePipeline(cd, prefetch=False)]
+    rows: List[Optional[List[str]]] = []
+    for strategy in sp.strategies():
+        try:
+            raw = lower_strategy(cd, strategy)
+        except IllegalCandidateError:
+            rows.append(None)
+            continue
+        kernels = [p.optimize(Candidate(strategy, raw, cd)).kernel for p in pipes]
+        rows.append(
+            [_digest(raw)]
+            + [_digest(k) for k in kernels]
+            + [predict_kernel(k, coeffs, config).total.hex() for k in kernels]
+        )
+    return rows
+
+
+def _spaces():
+    return {"gemm_space": gemm_space, "conv_space": conv_space, **COLLAPSE_SPACES}
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned() -> Dict[str, list]:
+    pins = json.loads(PINS.read_text())
+    assert pins["fields"] == list(FIELDS)
+    return pins["spaces"]
+
+
+@functools.lru_cache(maxsize=None)
+def _rows(name: str):
+    """(space, current rows) of one pinned space, computed once per run."""
+    cd, sp = _spaces()[name]()
+    return sp, space_rows(cd, sp)
+
+
+def assert_matches_pins(name: str, fields: Sequence[str] = FIELDS) -> None:
+    """Every strategy of space ``name`` is as legal as pinned and equals
+    its pin row on ``fields``."""
+    sp, rows = _rows(name)
+    pinned = _pinned()[name]
+    assert len(pinned) == sp.size() == len(rows), name
+    cols = [FIELDS.index(f) for f in fields]
+    for index, (want, got) in enumerate(zip(pinned, rows)):
+        if want is None or got is None:
+            same = want is got
+        else:
+            same = all(want[c] == got[c] for c in cols)
+        assert same, (
+            f"{name} strategy {index} {sp.strategy_at(index).decisions}: "
+            f"pinned {want}, got {got} (fields {list(fields)})"
+        )
+    assert any(row is not None for row in rows), name
 
 
 @pytest.mark.parametrize("make_space", [gemm_space, conv_space])
 class TestBitIdenticalIr:
     def test_lowering_matches_reference(self, make_space):
-        cd, sp = make_space()
-        checked = 0
-        for strategy in sp.strategies():
-            try:
-                expected = reference_lower_strategy(cd, strategy)
-            except IllegalCandidateError:
-                with pytest.raises(IllegalCandidateError):
-                    lower_strategy(cd, strategy)
-                continue
-            assert lower_strategy(cd, strategy) == expected
-            checked += 1
-        assert checked > 0
+        assert_matches_pins(make_space.__name__, ["raw"])
 
     def test_full_pipeline_matches_reference(self, make_space):
-        cd, sp = make_space()
-        pipe = CandidatePipeline(cd)
-        checked = 0
-        for strategy in sp.strategies():
-            try:
-                expected = reference_compile(cd, strategy)
-            except IllegalCandidateError:
-                continue
-            assert pipe.prepare(strategy).kernel == expected
-            checked += 1
-        assert checked > 0
+        assert_matches_pins(
+            make_space.__name__, ["optimized", "optimized-no-prefetch"]
+        )
 
 
 class TestTunerPicksUnchanged:
     def test_analytic_ranking_matches_reference(self):
+        """The analytic tuner scores every candidate at its pinned
+        cycles, so it ranks the space as pinned."""
         cd, sp = gemm_space()
         evaluator = AnalyticEvaluator()
 
-        pipeline_scores = {}
-        for cand in CandidatePipeline(cd, sp).candidates():
-            key = tuple(sorted(cand.strategy.decisions.items()))
-            pipeline_scores[key] = evaluator.evaluate(cand).cycles
+        def key(strategy):
+            return tuple(sorted(strategy.decisions.items()))
 
-        from repro.scheduler.enumerate import Candidate
-
-        reference_scores = {}
-        for strategy in sp.strategies():
-            try:
-                kernel = reference_compile(cd, strategy)
-            except IllegalCandidateError:
-                continue
-            key = tuple(sorted(strategy.decisions.items()))
-            cand = Candidate(strategy=strategy, kernel=kernel, compute=cd)
-            reference_scores[key] = evaluator.evaluate(cand).cycles
-
-        assert pipeline_scores == reference_scores
+        pipeline_scores = {
+            key(cand.strategy): evaluator.evaluate(cand).cycles
+            for cand in CandidatePipeline(cd, sp).candidates()
+        }
+        pinned_scores = {
+            key(strategy): float.fromhex(row[FIELDS.index("cycles")])
+            for strategy, row in zip(sp.strategies(), _pinned()["gemm_space"])
+            if row is not None
+        }
+        assert pipeline_scores == pinned_scores
         best = min(pipeline_scores, key=pipeline_scores.__getitem__)
-        ref_best = min(reference_scores, key=reference_scores.__getitem__)
-        assert best == ref_best
+        assert best == min(pinned_scores, key=pinned_scores.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +298,31 @@ def test_collapsed_loops_match_substitution(kind, monkeypatch):
             for ax, tile in _tile_sizes(cd, strategy).items()
         )
     assert checked > 0 and collapsed > 0
+
+
+@pytest.mark.parametrize("kind", sorted(COLLAPSE_SPACES))
+def test_space_matches_pins(kind):
+    """Raw and optimized IR (prefetch on and off) and predicted cycles
+    of every strategy of each collapse space equal their pins."""
+    assert_matches_pins(kind)
+
+
+def write_pins() -> None:
+    """Re-pin every space from the current lowering and optimizer."""
+    spaces = {}
+    for name, make in _spaces().items():
+        spaces[name] = space_rows(*make())
+    rows = ",\n".join(
+        f"    {json.dumps(name)}: [\n"
+        + ",\n".join(f"      {json.dumps(row)}" for row in spaces[name])
+        + "\n    ]"
+        for name in sorted(spaces)
+    )
+    PINS.write_text(
+        f'{{\n  "fields": {json.dumps(list(FIELDS))},\n'
+        f'  "spaces": {{\n{rows}\n  }}\n}}\n'
+    )
+
+
+if __name__ == "__main__":
+    write_pins()

